@@ -4,18 +4,18 @@
 //! A corner sweep answers "does this circuit (or this edit) hurt at
 //! *any* corner". Running N independent engines answers it N times as
 //! slowly: the stage graph is partitioned, fanout-loaded and levelized
-//! once per engine, and every sweep repeats that fixed cost. The
-//! batched flow here traverses the levelized stage DAG **once** per
-//! sweep and evaluates all corners per stage:
+//! once per engine, and every sweep repeats that fixed cost. A sweep
+//! here is N named lanes of the propagation core
+//! ([`StaEngine::propagate`], DESIGN.md §10): the levelized stage DAG
+//! is traversed **once** and every corner is evaluated per stage.
 //!
 //! * [`CornerRun`] names one corner and carries its model set and
 //!   evaluator instance (per-corner instances, so degradation
 //!   provenance pools per corner);
-//! * [`StaEngine::run_corners`] is the cold batched sweep — per-corner
-//!   commit books, one levelizer, one DAG traversal;
+//! * [`StaEngine::run_corners`] is the cold batched sweep;
 //! * [`StaEngine::run_incremental_corners`] re-times only the dirty
-//!   fanout cone across all corners over persistent per-corner books
-//!   ([`CommittedCorners`]) — the warm what-if loop;
+//!   fanout cone across all corners over the corner flow's persistent
+//!   per-corner books — the warm what-if loop;
 //! * [`CornerReport`] carries one full [`TimingReport`] per corner plus
 //!   the worst corner across the sweep.
 //!
@@ -24,28 +24,24 @@
 //! Each corner's report is **bitwise-identical** to an independent
 //! single-corner run on a fresh engine built with that corner's models
 //! — including the exact `evaluations` count — at any worker count
-//! (pinned by `tests/corners.rs`). The per-corner state is fully
-//! disjoint: separate commit books, separate evaluator instances,
-//! per-corner evaluation counters, and cache entries keyed by the
-//! interned corner name (a structural [`crate::engine::CacheKey`]
-//! member), so corners can never alias each other's arcs even at
-//! identical slews.
+//! (pinned by `tests/corners.rs`): a single-corner run is a sweep of
+//! one. The per-lane state is fully disjoint: separate commit books,
+//! separate evaluator instances, per-lane evaluation counters, and
+//! cache entries keyed by the interned corner name (a structural
+//! [`crate::engine::CacheKey`] member), so corners can never alias each
+//! other's arcs even at identical slews.
 //!
 //! Per-corner evaluation runs inside a [`qwm_fault::scope`] named after
 //! the corner, so fault plans can target one corner of a batched sweep
 //! (site `"ss/qwm.region"`) and the blast radius is provably that
 //! corner alone.
 
-use crate::engine::{NetCommit, StaEngine, TimingReport, NO_PRED};
+use crate::engine::{Lane, StaEngine, TimingReport};
 use crate::evaluator::StageEvaluator;
-use crate::graph::StageId;
-use crate::incremental::{commit_eq, IncrementalStats};
+use crate::incremental::Slot;
 use qwm_circuit::netlist::NetId;
 use qwm_device::model::ModelSet;
-use qwm_exec::Levelizer;
 use qwm_num::{NumError, Result};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One corner of a batched sweep: its name (interned — also the fault
 /// scope and the cache-key qualifier), its characterized model set and
@@ -107,7 +103,8 @@ impl CornerReport {
             .collect()
     }
 
-    fn from_reports(corners: Vec<&'static str>, reports: Vec<TimingReport>) -> CornerReport {
+    fn from_reports(runs: &[CornerRun], reports: Vec<TimingReport>) -> CornerReport {
+        let corners = runs.iter().map(|r| r.name).collect();
         let mut worst: Option<(usize, NetId, f64)> = None;
         for (c, r) in reports.iter().enumerate() {
             if let Some((n, a)) = r.worst {
@@ -126,24 +123,6 @@ impl CornerReport {
             worst,
         }
     }
-}
-
-/// Persistent per-corner commit books of the last
-/// [`StaEngine::run_incremental_corners`] sweep.
-/// One per-net commit book per corner, in sweep order.
-type CornerBooks = Vec<Vec<Option<NetCommit>>>;
-
-#[derive(Debug, Clone)]
-pub(crate) struct CommittedCorners {
-    /// Corner names the books were computed for, in sweep order. A
-    /// different corner list forces a full re-run.
-    pub(crate) corners: Vec<&'static str>,
-    /// Evaluator names, per corner; a switch forces a full re-run.
-    pub(crate) evaluators: Vec<&'static str>,
-    /// Seed slew the books were computed at.
-    pub(crate) input_slew: f64,
-    /// One per-net commit book per corner (same order as `corners`).
-    pub(crate) books: CornerBooks,
 }
 
 fn validate_runs(context: &'static str, runs: &[CornerRun]) -> Result<()> {
@@ -169,6 +148,18 @@ fn validate_runs(context: &'static str, runs: &[CornerRun]) -> Result<()> {
 }
 
 impl<'m> StaEngine<'m> {
+    /// One named lane per corner, each launching from its own book.
+    fn corner_lanes<'a>(&self, runs: &'a [CornerRun<'a>]) -> Vec<Lane<'a>> {
+        let lane = |(i, run): (usize, &'a CornerRun<'a>)| Lane {
+            corner: run.name,
+            models: run.models,
+            evaluator: run.evaluator,
+            direction: self.direction,
+            launch_from: i,
+        };
+        runs.iter().enumerate().map(lane).collect()
+    }
+
     /// Cold batched corner sweep: one levelized DAG traversal evaluates
     /// every corner at every stage. Each corner's report is
     /// bitwise-identical to an independent single-corner
@@ -185,100 +176,15 @@ impl<'m> StaEngine<'m> {
         validate_runs("StaEngine::run_corners", runs)?;
         qwm_obs::counter!("sta.corner.runs").incr();
         qwm_obs::counter!("sta.corner.batched").add(runs.len() as u64);
-        let (books, evals) = self.propagate_corner_books(runs, input_slew)?;
-        let names: Vec<&'static str> = runs.iter().map(|r| r.name).collect();
-        let reports = books
-            .iter()
-            .zip(runs)
-            .zip(&evals)
-            .map(|((book, run), &n)| {
-                self.book_to_report(book, n, Self::drained_degradations(run.evaluator))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(CornerReport::from_reports(names, reports))
-    }
-
-    /// Full batched propagation: per-corner commit books over one
-    /// levelizer and one DAG traversal. Returns the committed books and
-    /// the per-corner evaluator-call counts.
-    fn propagate_corner_books(
-        &self,
-        runs: &[CornerRun],
-        input_slew: f64,
-    ) -> Result<(CornerBooks, Vec<usize>)> {
-        let _trace = qwm_obs::trace::TraceGuard::enter("sta.propagate_corners");
-        let nets = self.netlist.net_count();
-        let books: Vec<Vec<Mutex<Option<NetCommit>>>> = (0..runs.len())
-            .map(|_| (0..nets).map(|_| Mutex::new(None)).collect())
-            .collect();
-        for book in &books {
-            for &pi in self.netlist.primary_inputs() {
-                *book[pi.0].lock().expect("net book") = Some((0.0, input_slew, NO_PRED));
-            }
-        }
-        let corner_evals: Vec<AtomicUsize> = (0..runs.len()).map(|_| AtomicUsize::new(0)).collect();
-        let lev = {
-            let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
-            self.levelizer()?
+        let lanes = self.corner_lanes(runs);
+        let out = {
+            let _trace = qwm_obs::trace::TraceGuard::enter("sta.propagate_corners");
+            self.propagate(&lanes, input_slew, None)?
         };
-        let level_of = crate::engine::trace_levels(&lev);
-        qwm_exec::run_dag(self.threads(), &lev, |_w, s| -> Result<()> {
-            let _stage = crate::engine::trace_stage(&level_of, s);
-            let sid = StageId(s);
-            let part = self.graph.stage(sid);
-            for (c, run) in runs.iter().enumerate() {
-                // Corner-scoped fault sites: a plan targeting
-                // "ss/qwm.region" degrades the ss lane alone.
-                let _scope = qwm_fault::scope(run.name);
-                let book = &books[c];
-                let (launch, launch_slew) = part
-                    .input_nets
-                    .iter()
-                    .map(|n| match *book[n.0].lock().expect("net book") {
-                        Some((a, sl, _)) => (a, sl),
-                        None => (0.0, input_slew),
-                    })
-                    .fold(
-                        (0.0_f64, input_slew),
-                        |acc, (a, s)| {
-                            if a > acc.0 {
-                                (a, s)
-                            } else {
-                                acc
-                            }
-                        },
-                    );
-                for (pos, &net) in part.output_nets.iter().enumerate() {
-                    let m = self.arc_timing(
-                        run.evaluator,
-                        sid,
-                        pos,
-                        launch_slew,
-                        self.direction,
-                        run.models,
-                        run.name,
-                        Some(&corner_evals[c]),
-                    )?;
-                    let arr = launch + m.delay;
-                    let mut slot = book[net.0].lock().expect("net book");
-                    if slot.is_none_or(|(a, _, _)| arr > a) {
-                        *slot = Some((arr, m.slew, s));
-                    }
-                }
-            }
-            Ok(())
-        })
-        .map_err(|(_, e)| e)?;
-        let books = books
-            .into_iter()
-            .map(|book| {
-                book.into_iter()
-                    .map(|slot| slot.into_inner().expect("net book"))
-                    .collect()
-            })
-            .collect();
-        let evals = corner_evals.into_iter().map(|c| c.into_inner()).collect();
-        Ok((books, evals))
+        Ok(CornerReport::from_reports(
+            runs,
+            self.lane_reports(&lanes, &out)?,
+        ))
     }
 
     /// Incremental batched corner sweep: re-times only the fanout cone
@@ -287,12 +193,11 @@ impl<'m> StaEngine<'m> {
     /// report stays bitwise-identical to a cold single-corner run on
     /// the identically edited circuit (pinned by `tests/corners.rs`).
     ///
-    /// The first call — or a call with a different corner list,
-    /// evaluator set, or after the single-corner and corner flows
-    /// disagree — performs a full batched propagation and seeds the
-    /// books. The corner flow consumes its own edit log
-    /// (`dirty_corners`), so interleaving [`StaEngine::run_incremental`]
-    /// and this entry point on one engine never loses an edit.
+    /// The first call — or a call with a different corner list or
+    /// evaluator set — performs a full batched propagation and seeds
+    /// the books. The corner flow consumes its own edit log, so
+    /// interleaving [`StaEngine::run_incremental`] and this entry point
+    /// on one engine never loses an edit.
     ///
     /// Aggregate statistics land in [`StaEngine::incremental_stats`]
     /// (`evaluated_stages` counts `(stage, corner)` pairs).
@@ -306,242 +211,18 @@ impl<'m> StaEngine<'m> {
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.run_incremental_corners");
         validate_runs("StaEngine::run_incremental_corners", runs)?;
         qwm_obs::counter!("sta.corner.incremental_runs").incr();
-        let names: Vec<&'static str> = runs.iter().map(|r| r.name).collect();
-        let eval_names: Vec<&'static str> = runs.iter().map(|r| r.evaluator.name()).collect();
-        let seed_slew = self.input_slew;
-        let needs_full = match &self.committed_corners {
-            None => true,
-            Some(c) => c.corners != names || c.evaluators != eval_names,
-        };
-        if needs_full {
-            let (books, evals) = self.propagate_corner_books(runs, seed_slew)?;
-            let reports = books
-                .iter()
-                .zip(runs)
-                .zip(&evals)
-                .map(|((book, run), &n)| {
-                    self.book_to_report(book, n, Self::drained_degradations(run.evaluator))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            self.last_incremental = IncrementalStats {
-                full_run: true,
-                dirty_stages: self.graph.len(),
-                evaluated_stages: self.graph.len() * runs.len(),
-                reused_arcs: 0,
-                early_stop_nets: 0,
-                evaluations: evals.iter().sum(),
-            };
-            self.committed_corners = Some(CommittedCorners {
-                corners: names.clone(),
-                evaluators: eval_names,
-                input_slew: seed_slew,
-                books,
-            });
-            self.dirty_corners.clear();
+        let lanes = self.corner_lanes(runs);
+        let reports = self.retime(Slot::Corners, &lanes)?;
+        let stats = self.last_incremental;
+        if stats.full_run {
             qwm_obs::counter!("sta.corner.full_runs").incr();
-            return Ok(CornerReport::from_reports(names, reports));
+        } else {
+            qwm_obs::counter!("sta.corner.dirty_stages").add(stats.dirty_stages as u64);
+            qwm_obs::counter!("sta.corner.evaluated_stages").add(stats.evaluated_stages as u64);
+            qwm_obs::counter!("sta.corner.reused_arcs").add(stats.reused_arcs as u64);
+            qwm_obs::counter!("sta.corner.early_stop_nets").add(stats.early_stop_nets as u64);
         }
-        let committed = self.committed_corners.as_ref().expect("committed corners");
-        let slew_changed = committed.input_slew.to_bits() != seed_slew.to_bits();
-
-        // Per-corner seed sets: the shared edit log, plus — when the
-        // seed slew changed — every stage whose launch point in *that
-        // corner's* old book had no positive-arrival fanin (exactly the
-        // single-corner rule, applied per book).
-        let mut seeds: Vec<std::collections::BTreeSet<usize>> =
-            vec![self.dirty_corners.clone(); runs.len()];
-        if slew_changed {
-            for (c, seed) in seeds.iter_mut().enumerate() {
-                let old_book = &committed.books[c];
-                for (i, p) in self.graph.partitions().iter().enumerate() {
-                    let max_arr = p
-                        .input_nets
-                        .iter()
-                        .map(|n| old_book[n.0].map_or(0.0, |(a, _, _)| a))
-                        .fold(0.0_f64, f64::max);
-                    if max_arr <= 0.0 {
-                        seed.insert(i);
-                    }
-                }
-            }
-        }
-        // One cone over the union of per-corner seeds: a stage in the
-        // cone but outside corner c's own cone can never trigger for c
-        // (no ancestor in c's seeds changed its fanins), so the union
-        // cone preserves per-corner bitwise identity while letting all
-        // corners share one sub-levelizer.
-        let union: std::collections::BTreeSet<usize> =
-            seeds.iter().flat_map(|s| s.iter().copied()).collect();
-        let cone = self.graph.fanout_cone(union.iter().copied());
-        if cone.is_empty() && !slew_changed {
-            let reports = committed
-                .books
-                .clone()
-                .iter()
-                .zip(runs)
-                .map(|(book, run)| {
-                    self.book_to_report(book, 0, Self::drained_degradations(run.evaluator))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            self.last_incremental = IncrementalStats {
-                full_run: false,
-                ..IncrementalStats::default()
-            };
-            self.dirty_corners.clear();
-            return Ok(CornerReport::from_reports(names, reports));
-        }
-
-        let nets = self.netlist.net_count();
-        let new_books: Vec<Vec<Mutex<Option<NetCommit>>>> = committed
-            .books
-            .iter()
-            .map(|old| old.iter().map(|&s| Mutex::new(s)).collect())
-            .collect();
-        let changed: Vec<Vec<AtomicBool>> = (0..runs.len())
-            .map(|_| (0..nets).map(|_| AtomicBool::new(false)).collect())
-            .collect();
-        let mut is_pi = vec![false; nets];
-        for &pi in self.netlist.primary_inputs() {
-            is_pi[pi.0] = true;
-            let seeded = Some((0.0, seed_slew, NO_PRED));
-            for (c, book) in new_books.iter().enumerate() {
-                let mut slot = book[pi.0].lock().expect("net book");
-                if slot.is_none_or(|(_, _, p)| p == NO_PRED) && !commit_eq(*slot, seeded) {
-                    *slot = seeded;
-                    changed[c][pi.0].store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        let in_seeds: Vec<Vec<bool>> = seeds
-            .iter()
-            .map(|s| {
-                let mut v = vec![false; self.graph.len()];
-                for &i in s {
-                    v[i] = true;
-                }
-                v
-            })
-            .collect();
-        let succs = self.graph.stage_dependencies();
-        let lev = Levelizer::from_subgraph(&succs, &cone).map_err(|e| NumError::InvalidInput {
-            context: "StaEngine::run_incremental_corners",
-            detail: e.to_string(),
-        })?;
-        let corner_evals: Vec<AtomicUsize> = (0..runs.len()).map(|_| AtomicUsize::new(0)).collect();
-        let evaluated = AtomicUsize::new(0);
-        let arcs_requested = AtomicUsize::new(0);
-        let early_stops = AtomicUsize::new(0);
-        let level_of = crate::engine::trace_levels(&lev);
-        qwm_exec::run_dag(self.threads(), &lev, |_w, local| -> Result<()> {
-            let gid = cone[local];
-            let _stage = level_of.as_ref().map(|lv| {
-                qwm_obs::trace::TraceGuard::enter_stage(
-                    "sta.stage",
-                    gid as u64,
-                    lv.get(local).copied().unwrap_or(0),
-                )
-            });
-            let part = self.graph.stage(StageId(gid));
-            for (c, run) in runs.iter().enumerate() {
-                let _scope = qwm_fault::scope(run.name);
-                let triggered = in_seeds[c][gid]
-                    || part
-                        .input_nets
-                        .iter()
-                        .any(|n| changed[c][n.0].load(Ordering::Relaxed));
-                if !triggered {
-                    early_stops.fetch_add(part.output_nets.len(), Ordering::Relaxed);
-                    continue;
-                }
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                let book = &new_books[c];
-                let (launch, launch_slew) = part
-                    .input_nets
-                    .iter()
-                    .map(|n| match *book[n.0].lock().expect("net book") {
-                        Some((a, sl, _)) => (a, sl),
-                        None => (0.0, seed_slew),
-                    })
-                    .fold(
-                        (0.0_f64, seed_slew),
-                        |acc, (a, s)| {
-                            if a > acc.0 {
-                                (a, s)
-                            } else {
-                                acc
-                            }
-                        },
-                    );
-                arcs_requested.fetch_add(part.output_nets.len(), Ordering::Relaxed);
-                for (pos, &net) in part.output_nets.iter().enumerate() {
-                    let m = self.arc_timing(
-                        run.evaluator,
-                        StageId(gid),
-                        pos,
-                        launch_slew,
-                        self.direction,
-                        run.models,
-                        run.name,
-                        Some(&corner_evals[c]),
-                    )?;
-                    let arr = launch + m.delay;
-                    let candidate = if is_pi[net.0] && arr <= 0.0 {
-                        Some((0.0, seed_slew, NO_PRED))
-                    } else {
-                        Some((arr, m.slew, gid))
-                    };
-                    let mut slot = book[net.0].lock().expect("net book");
-                    if commit_eq(*slot, candidate) {
-                        early_stops.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        *slot = candidate;
-                        changed[c][net.0].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            Ok(())
-        })
-        .map_err(|(_, e)| e)?;
-
-        let books: CornerBooks = new_books
-            .into_iter()
-            .map(|book| {
-                book.into_iter()
-                    .map(|slot| slot.into_inner().expect("net book"))
-                    .collect()
-            })
-            .collect();
-        let evals: Vec<usize> = corner_evals.into_iter().map(|c| c.into_inner()).collect();
-        let reports = books
-            .iter()
-            .zip(runs)
-            .zip(&evals)
-            .map(|((book, run), &n)| {
-                self.book_to_report(book, n, Self::drained_degradations(run.evaluator))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let total_evals: usize = evals.iter().sum();
-        let stats = IncrementalStats {
-            full_run: false,
-            dirty_stages: cone.len(),
-            evaluated_stages: evaluated.load(Ordering::Relaxed),
-            reused_arcs: arcs_requested.load(Ordering::Relaxed) - total_evals,
-            early_stop_nets: early_stops.load(Ordering::Relaxed),
-            evaluations: total_evals,
-        };
-        self.last_incremental = stats;
-        qwm_obs::counter!("sta.corner.dirty_stages").add(stats.dirty_stages as u64);
-        qwm_obs::counter!("sta.corner.evaluated_stages").add(stats.evaluated_stages as u64);
-        qwm_obs::counter!("sta.corner.reused_arcs").add(stats.reused_arcs as u64);
-        qwm_obs::counter!("sta.corner.early_stop_nets").add(stats.early_stop_nets as u64);
-        self.committed_corners = Some(CommittedCorners {
-            corners: names.clone(),
-            evaluators: eval_names,
-            input_slew: seed_slew,
-            books,
-        });
-        self.dirty_corners.clear();
-        Ok(CornerReport::from_reports(names, reports))
+        Ok(CornerReport::from_reports(runs, reports))
     }
 }
 

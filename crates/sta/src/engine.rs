@@ -1,44 +1,41 @@
-//! The static timing engine: arrival propagation, critical paths and
-//! incremental re-analysis — now levelized-parallel.
+//! The static timing engine: one propagation core, critical paths and
+//! the edit API's cache invalidation.
 //!
 //! Arrival times propagate through the stage DAG; each stage
 //! contributes its worst-case evaluated delay (pluggable — QWM by
-//! default). The expensive per-stage evaluations (one small NR solve
-//! per channel-connected region, the paper's decomposition) run
-//! concurrently on a work-stealing scheduler from `qwm-exec`:
+//! default). Every slew-aware flow — [`StaEngine::run_with_slew`],
+//! [`StaEngine::run_dual`], [`StaEngine::run_incremental`],
+//! [`StaEngine::run_corners`], [`StaEngine::run_incremental_corners`] —
+//! is a thin wrapper over [`StaEngine::propagate`]: one levelized,
+//! dependency-driven traversal over a set of [`Lane`]s and a scope
+//! (whole graph, or the dirty cone of a prior commit book). Lane, scope,
+//! commit rule and the determinism argument are specified once, in
+//! DESIGN.md §10 "Propagation core"; every timing arc of every flow goes
+//! through one function and one cache, [`StaEngine::arc_timing`].
 //!
-//! * [`StaEngine::run`] — under step inputs every stage delay is
-//!   independent of its arrival, so the delays are a flat parallel map
-//!   followed by a serial topological reduction.
-//! * [`StaEngine::run_with_slew`] / [`StaEngine::run_dual`] /
-//!   [`StaEngine::run_waveform`] — each stage consumes its fanin's
-//!   committed (arrival, slew/waveform) state, so stages dispatch the
-//!   instant their last fanin stage commits (atomic in-degree
-//!   countdown, no level barriers).
+//! Two traversals deliberately stay outside the core:
 //!
-//! **Determinism.** Every net is committed by exactly one driving
-//! stage, and a stage only reads nets committed before it was
-//! released; each task is a pure function of that state, so reports
-//! are bitwise-identical for any worker count (locked down by
-//! `tests/parallel_determinism.rs`). Per-stage delays are memoized in
-//! lock-sharded caches that store pure results, making racing
-//! double-computes value-stable; per-run evaluation counts stay exact
-//! because each (stage, output) is dispatched once per run.
-//!
-//! Per-stage delays are cached across runs, so an *incremental*
-//! re-analysis after a transistor resize re-evaluates only the touched
-//! stage and then re-propagates cheap arrival maxima — the
-//! incremental-speedup experiment of the calibration brief.
+//! * [`StaEngine::run`] — under step inputs an arc's delay does not
+//!   depend on its arrival, so all arcs are one flat parallel map and
+//!   the arrivals a serial topological reduction. A per-stage DAG task
+//!   would serialize the arcs of a one-stage design (the decoder tree
+//!   is a single channel-connected component with 128 outputs). It
+//!   calls the shared arc function.
+//! * [`StaEngine::run_waveform`] — its payload is a full waveform per
+//!   net, uncached, with structural skips; it keeps its own traversal
+//!   but descends the shared fallback-ladder driver
+//!   ([`crate::evaluator::descend`]).
 
-use crate::evaluator::{Degradation, FallbackRung, RungFailure, StageEvaluator};
+use crate::evaluator::{descend, failure_chain, Degradation, FallbackRung, Rung, StageEvaluator};
 use crate::graph::{StageGraph, StageId};
+use crate::incremental::{commit_eq, Flow, IncrementalStats};
 use qwm_circuit::netlist::{NetId, Netlist};
 use qwm_circuit::waveform::{TimingMetrics, TransitionKind};
 use qwm_device::model::{Geometry, ModelSet};
 use qwm_exec::{Levelizer, ShardedMap};
 use qwm_num::{NumError, Result};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A full timing report.
@@ -84,9 +81,10 @@ pub(crate) struct CacheKey {
     out_pos: usize,
     /// Analyzed output transition.
     direction: TransitionKind,
-    /// Exact requested input slew, `f64::to_bits`. Zero for the
-    /// step-input delay flow (which carries no slew at all).
-    slew_bits: u64,
+    /// Exact requested input slew, `f64::to_bits`; `None` for the
+    /// step-input delay flow (which carries no slew at all, and so can
+    /// never alias a slew-aware arc at 0 s).
+    slew_bits: Option<u64>,
     /// Corner name for batched multi-corner runs; `""` for the
     /// single-model flows. Without this field the batched flow would be
     /// corner-blind: two corners evaluate the same `(evaluator, stage,
@@ -99,59 +97,94 @@ pub(crate) struct CacheKey {
 /// Sentinel for "no predecessor stage" in the per-net commit books.
 pub(crate) const NO_PRED: usize = usize::MAX;
 
-/// One committed net state of the slew-aware flow:
+/// One committed net state of the slew-aware flows:
 /// `(arrival, output slew, committing stage or NO_PRED)`.
 pub(crate) type NetCommit = (f64, f64, usize);
+
+/// A per-net commit book, indexed by `NetId`; `None` for nets never
+/// committed (rails, floating nets).
+pub(crate) type Book = Vec<Option<NetCommit>>;
 
 /// Worst endpoint (net, arrival) plus the backtracked critical path.
 pub(crate) type WorstAndPath = (Option<(NetId, f64)>, Vec<StageId>);
 
+/// One lane of a propagation: an independent commit book timed against
+/// its own models, evaluator and transition (DESIGN.md §10).
+pub(crate) struct Lane<'a> {
+    /// Corner name: the cache-key qualifier and the fault scope of the
+    /// lane's evaluations. `""` is the unnamed lane of the single-model
+    /// flows — no fault scope, not counted as a corner evaluation.
+    pub(crate) corner: &'static str,
+    pub(crate) models: &'a ModelSet,
+    pub(crate) evaluator: &'a dyn StageEvaluator,
+    /// Analyzed output transition.
+    pub(crate) direction: TransitionKind,
+    /// Index of the lane whose book this lane launches from: itself,
+    /// except for [`StaEngine::run_dual`]'s fall and rise lanes, which
+    /// launch from each other (inverting arcs).
+    pub(crate) launch_from: usize,
+}
+
+/// What a warm propagation continues from.
+pub(crate) struct Prior<'a> {
+    /// The committed book of each lane.
+    pub(crate) books: &'a [Book],
+    /// Per lane, the stages that must re-evaluate whatever their fanin
+    /// did: the edit log plus the lane's re-seeded launch points.
+    pub(crate) seeds: &'a [BTreeSet<usize>],
+    /// Error context of the calling wrapper.
+    pub(crate) context: &'static str,
+}
+
+/// The outcome of [`StaEngine::propagate`].
+pub(crate) struct Propagated {
+    /// The committed book of each lane.
+    pub(crate) books: Vec<Book>,
+    /// Evaluator calls per lane (cache hits excluded).
+    pub(crate) evaluations: Vec<usize>,
+    /// Scope and reuse statistics, summed over lanes.
+    pub(crate) stats: IncrementalStats,
+}
+
 /// The timing engine: owns the netlist, the stage graph and the
-/// per-stage delay caches.
+/// per-stage arc cache.
 ///
 /// All `run*` entry points take `&self` and may be driven with any
-/// worker count (see [`StaEngine::set_threads`]); internal state is
-/// lock-sharded caches and atomic counters, so the engine is `Sync`.
+/// worker count (see [`StaEngine::set_threads`]); internal state is a
+/// lock-sharded cache and atomic counters, so the engine is `Sync`.
 pub struct StaEngine<'m> {
     pub(crate) netlist: Netlist,
     pub(crate) graph: StageGraph,
     pub(crate) models: &'m ModelSet,
     pub(crate) direction: TransitionKind,
-    /// Cached worst step-input delay per arc.
-    pub(crate) delay_cache: ShardedMap<CacheKey, f64>,
-    /// Cached (delay, slew) per arc at an exact input slew.
-    pub(crate) slew_cache: ShardedMap<CacheKey, (f64, f64)>,
-    pub(crate) evaluations: AtomicUsize,
+    /// Cached `(delay, slew)` per arc (slew 0 for step-input arcs).
+    pub(crate) arc_cache: ShardedMap<CacheKey, (f64, f64)>,
+    evaluations: AtomicUsize,
     waveform_failures: AtomicUsize,
     /// Degradation provenance recorded by [`Self::run_waveform`]'s
-    /// internal fallback ladder (the evaluator flows record theirs in
-    /// the evaluator instead).
+    /// descent of the fallback ladder (the evaluator flows record
+    /// theirs in the evaluator instead).
     waveform_degradations: Mutex<Vec<Degradation>>,
     threads: usize,
-    /// Seed slew at the primary inputs for the incremental flow
+    /// Seed slew at the primary inputs for the incremental flows
     /// (edited via [`StaEngine::set_input_slew`]).
     pub(crate) input_slew: f64,
-    /// Stages edited since the last incremental commit.
-    pub(crate) dirty: std::collections::BTreeSet<usize>,
-    /// Arrival/slew book committed by the last [`Self::run_incremental`]
-    /// (survives across runs; `None` until the first incremental run).
-    pub(crate) committed: Option<crate::incremental::CommittedBook>,
-    /// Statistics of the last incremental run.
-    pub(crate) last_incremental: crate::incremental::IncrementalStats,
-    /// Stages edited since the last *batched corner* commit (the corner
-    /// flow consumes edits independently of the single-corner flow, so
-    /// interleaving `run_incremental` and `run_incremental_corners` on
-    /// one engine never loses an edit).
-    pub(crate) dirty_corners: std::collections::BTreeSet<usize>,
-    /// Per-corner books committed by the last
-    /// [`Self::run_incremental_corners`].
-    pub(crate) committed_corners: Option<crate::corners::CommittedCorners>,
+    /// Edit log and committed books of the two incremental flows,
+    /// indexed by [`crate::incremental::Slot`]: single-corner and
+    /// batched corners. Each flow consumes its own edit log, so
+    /// interleaving [`Self::run_incremental`] and
+    /// [`Self::run_incremental_corners`] on one engine never loses an
+    /// edit.
+    pub(crate) flows: [Flow; 2],
+    /// Statistics of the last incremental run (either flow).
+    pub(crate) last_incremental: IncrementalStats,
 }
 
-/// Stage → level map for per-stage trace records. Built only when
-/// tracing is live (one allocation per run, nothing per record);
-/// `None` keeps the traced-off hot path free of any work.
-pub(crate) fn trace_levels(lev: &Levelizer) -> Option<Vec<u64>> {
+/// Stage → level map for per-stage trace records, indexed by the
+/// levelizer's local id. Built only when tracing is live (one
+/// allocation per run, nothing per record); `None` keeps the traced-off
+/// hot path free of any work.
+fn trace_levels(lev: &Levelizer) -> Option<Vec<u64>> {
     qwm_obs::trace::enabled().then(|| {
         let mut level_of = vec![0u64; lev.node_count()];
         for (l, nodes) in lev.levels().iter().enumerate() {
@@ -163,18 +196,54 @@ pub(crate) fn trace_levels(lev: &Levelizer) -> Option<Vec<u64>> {
     })
 }
 
-/// Opens a per-stage trace scope inside a `run_dag` worker closure.
-pub(crate) fn trace_stage(
+/// Opens a per-stage trace scope inside a `run_dag` worker closure:
+/// the record carries the global `stage` id and the level of the
+/// levelizer's `local` id.
+fn trace_stage(
     level_of: &Option<Vec<u64>>,
-    s: usize,
+    stage: usize,
+    local: usize,
 ) -> Option<qwm_obs::trace::TraceGuard> {
     level_of.as_ref().map(|lv| {
         qwm_obs::trace::TraceGuard::enter_stage(
             "sta.stage",
-            s as u64,
-            lv.get(s).copied().unwrap_or(0),
+            stage as u64,
+            lv.get(local).copied().unwrap_or(0),
         )
     })
+}
+
+/// Sets the baked load of `net`'s node in `stage` to what a cold build
+/// sums: the netlist's explicit capacitance plus the input capacitance
+/// of every stage the net gates, in `users_of` order. Engine
+/// construction and every load-changing edit go through here, so an
+/// edited engine's load is bitwise a rebuilt engine's (adjusting it by
+/// a delta per edit drifts in the last bit). Returns `false` when the
+/// stage has no node of the net's name.
+pub(crate) fn bake_load(
+    graph: &mut StageGraph,
+    netlist: &Netlist,
+    models: &ModelSet,
+    stage: StageId,
+    net: NetId,
+) -> bool {
+    let name = netlist.net_name(net);
+    let mut fanout = 0.0;
+    for &user in graph.users_of(net) {
+        let ustage = &graph.stage(user).stage;
+        if let Some(input) = ustage.input_by_name(name) {
+            fanout += ustage.input_cap(input, models);
+        }
+    }
+    let load = netlist.cap(net).max(0.0) + fanout;
+    let part = &mut graph.partitions_mut()[stage.0];
+    let Some(node) = part.stage.node_by_name(name) else {
+        return false;
+    };
+    // `x − x` is exactly zero and `0 + load` exactly `load`.
+    part.stage.add_load(node, -part.stage.node(node).load_cap);
+    part.stage.add_load(node, load);
+    true
 }
 
 impl<'m> StaEngine<'m> {
@@ -195,26 +264,10 @@ impl<'m> StaEngine<'m> {
         // Bake fanout gate loading into each stage: a net driving other
         // stages' gates carries their input capacitance. Without this,
         // per-stage delays systematically undershoot a flat simulation.
-        let mut fanout: Vec<(usize, String, f64)> = Vec::new();
-        for (i, p) in graph.partitions().iter().enumerate() {
-            for &net in &p.output_nets {
-                let mut cap = 0.0;
-                for &user in graph.users_of(net) {
-                    let upart = graph.stage(user);
-                    let ustage = &upart.stage;
-                    if let Some(input) = ustage.input_by_name(netlist.net_name(net)) {
-                        cap += ustage.input_cap(input, models);
-                    }
-                }
-                if cap > 0.0 {
-                    fanout.push((i, netlist.net_name(net).to_string(), cap));
-                }
-            }
-        }
-        for (i, name, cap) in fanout {
-            let part = &mut graph.partitions_mut()[i];
-            if let Some(node) = part.stage.node_by_name(&name) {
-                part.stage.add_load(node, cap);
+        for i in 0..graph.len() {
+            for pos in 0..graph.stage(StageId(i)).output_nets.len() {
+                let net = graph.stage(StageId(i)).output_nets[pos];
+                bake_load(&mut graph, &netlist, models, StageId(i), net);
             }
         }
         Ok(StaEngine {
@@ -222,18 +275,14 @@ impl<'m> StaEngine<'m> {
             graph,
             models,
             direction,
-            delay_cache: ShardedMap::new(),
-            slew_cache: ShardedMap::new(),
+            arc_cache: ShardedMap::new(),
             evaluations: AtomicUsize::new(0),
             waveform_failures: AtomicUsize::new(0),
             waveform_degradations: Mutex::new(Vec::new()),
             threads: qwm_exec::default_threads(),
             input_slew: 0.0,
-            dirty: std::collections::BTreeSet::new(),
-            committed: None,
-            last_incremental: crate::incremental::IncrementalStats::default(),
-            dirty_corners: std::collections::BTreeSet::new(),
-            committed_corners: None,
+            flows: Default::default(),
+            last_incremental: IncrementalStats::default(),
         })
     }
 
@@ -278,8 +327,8 @@ impl<'m> StaEngine<'m> {
     }
 
     /// Drains the degradation provenance recorded by
-    /// [`Self::run_waveform`]'s internal fallback ladder, sorted for
-    /// deterministic iteration.
+    /// [`Self::run_waveform`]'s descent of the fallback ladder, sorted
+    /// for deterministic iteration.
     pub fn take_waveform_degradations(&self) -> Vec<Degradation> {
         let mut d = std::mem::take(
             &mut *self
@@ -299,7 +348,8 @@ impl<'m> StaEngine<'m> {
     }
 
     /// The stage dependency DAG, levelized for the parallel runners.
-    pub(crate) fn levelizer(&self) -> Result<Levelizer> {
+    fn levelizer(&self) -> Result<Levelizer> {
+        let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
         Levelizer::from_succs(self.graph.stage_dependencies()).map_err(|e| {
             // StageGraph::build already rejected cycles, so this only
             // fires on internal bookkeeping bugs.
@@ -310,26 +360,63 @@ impl<'m> StaEngine<'m> {
         })
     }
 
-    fn stage_output_delay(
+    /// The unnamed lane of the single-model flows: the engine's own
+    /// models under cache-key corner `""`.
+    pub(crate) fn own_lane<'a>(
         &self,
-        evaluator: &dyn StageEvaluator,
+        evaluator: &'a dyn StageEvaluator,
+        direction: TransitionKind,
+        launch_from: usize,
+    ) -> Lane<'a>
+    where
+        'm: 'a,
+    {
+        Lane {
+            corner: "",
+            models: self.models,
+            evaluator,
+            direction,
+            launch_from,
+        }
+    }
+
+    /// The one timing-arc function: cache probe, evaluate, commit to
+    /// the cache — for output `out_pos` of stage `sid` on `lane`, at an
+    /// *exact* input slew (`None`: the step-input delay of
+    /// [`Self::run`], reported with a zero output slew).
+    ///
+    /// The cache key carries the slew's full bit pattern and the
+    /// transition as structural fields: two distinct slews can never
+    /// collapse into one grid bin, and flows can never serve each other
+    /// entries computed for a different request. Entries are shared only
+    /// when evaluator, stage, output, direction, slew bits *and* corner
+    /// all match — by construction the same pure computation.
+    /// `lane_evals` counts the lane's evaluator calls, so every lane's
+    /// report carries its own exact count.
+    pub(crate) fn arc_timing(
+        &self,
+        lane: &Lane,
+        lane_evals: &AtomicUsize,
         sid: StageId,
         out_pos: usize,
-    ) -> Result<f64> {
+        input_slew: Option<f64>,
+    ) -> Result<TimingMetrics> {
         let key = CacheKey {
-            evaluator: evaluator.name(),
+            evaluator: lane.evaluator.name(),
             stage: sid.0,
             out_pos,
-            direction: self.direction,
-            slew_bits: 0,
-            corner: "",
+            direction: lane.direction,
+            slew_bits: input_slew.map(f64::to_bits),
+            corner: lane.corner,
         };
-        if let Some(d) = self.delay_cache.get(&key) {
+        let stage = sid.0 as u64;
+        if let Some((delay, slew)) = self.arc_cache.get(&key) {
             qwm_obs::counter!("sta.arc.cache_hits").incr();
             if qwm_obs::trace::enabled() {
-                qwm_obs::trace::record_arc(sid.0 as u64, "cached", std::time::Instant::now(), 0, 0);
+                let now = std::time::Instant::now();
+                qwm_obs::trace::record_corner_arc(stage, lane.corner, "cached", now, 0, 0);
             }
-            return Ok(d);
+            return Ok(TimingMetrics { delay, slew });
         }
         let part = self.graph.stage(sid);
         let output_net = part.output_nets[out_pos];
@@ -337,24 +424,235 @@ impl<'m> StaEngine<'m> {
             .stage
             .node_by_name(self.netlist.net_name(output_net))
             .ok_or_else(|| NumError::InvalidInput {
-                context: "StaEngine::stage_output_delay",
+                context: "StaEngine::arc_timing",
                 detail: format!("output net {output_net:?} missing from stage"),
             })?;
+        // Arc trace: discard stale lookup/rung attribution, then bracket
+        // the evaluator call so solve time, lookup time and the landed
+        // rung all land on this arc's record.
         let arc_t0 = qwm_obs::trace::enabled().then(|| {
             let _ = qwm_obs::trace::take_lookup_ns();
             let _ = qwm_obs::trace::take_rung();
             std::time::Instant::now()
         });
-        let d = evaluator.delay(&part.stage, self.models, node, self.direction)?;
+        let (ev, dir) = (lane.evaluator, lane.direction);
+        let m = match input_slew {
+            Some(slew) => ev.timing(&part.stage, lane.models, node, dir, slew)?,
+            None => TimingMetrics {
+                delay: ev.delay(&part.stage, lane.models, node, dir)?,
+                slew: 0.0,
+            },
+        };
         if let Some(t0) = arc_t0 {
             let lookup_ns = qwm_obs::trace::take_lookup_ns();
-            let (rung, retries) = qwm_obs::trace::take_rung().unwrap_or((evaluator.name(), 0));
-            qwm_obs::trace::record_arc(sid.0 as u64, rung, t0, lookup_ns, retries);
+            let (rung, retries) = qwm_obs::trace::take_rung().unwrap_or((ev.name(), 0));
+            qwm_obs::trace::record_corner_arc(stage, lane.corner, rung, t0, lookup_ns, retries);
         }
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         qwm_obs::counter!("sta.arc.evaluations").incr();
-        self.delay_cache.insert(key, d);
-        Ok(d)
+        lane_evals.fetch_add(1, Ordering::Relaxed);
+        if !lane.corner.is_empty() {
+            qwm_obs::counter!("sta.corner.evaluations").incr();
+        }
+        self.arc_cache.insert(key, (m.delay, m.slew));
+        Ok(m)
+    }
+
+    /// The propagation core (DESIGN.md §10): one dependency-driven
+    /// traversal of the levelized stage DAG that times every lane at
+    /// every stage in scope and returns each lane's committed book.
+    ///
+    /// Without a `prior` the scope is the whole graph over empty books
+    /// and every stage evaluates. With one, the scope is the fanout
+    /// cone of the lanes' seed stages over the prior books: a stage
+    /// evaluates for a lane iff it is one of the lane's seeds or a
+    /// launch net of it changed, and a recommit that is bitwise the old
+    /// one stops the change there. Both are one rule — the cold run is
+    /// the warm run on an empty book — so a warm book is bitwise the
+    /// cold book of the edited circuit, at any worker count.
+    pub(crate) fn propagate(
+        &self,
+        lanes: &[Lane],
+        seed_slew: f64,
+        prior: Option<Prior>,
+    ) -> Result<Propagated> {
+        let (nets, stages) = (self.netlist.net_count(), self.graph.len());
+        let (lev, scope): (Levelizer, Vec<usize>) = match &prior {
+            None => (self.levelizer()?, (0..stages).collect()),
+            Some(p) => {
+                // One cone over the union of the lanes' seeds: a stage
+                // in it but outside lane l's own cone can never trigger
+                // for l (no seed of l reaches its fanins), so sharing
+                // the sub-levelizer preserves per-lane identity.
+                let cone = self.graph.fanout_cone(p.seeds.iter().flatten().copied());
+                // A re-run with nothing to re-time needs no edges.
+                let succs = if cone.is_empty() {
+                    Vec::new()
+                } else {
+                    self.graph.stage_dependencies()
+                };
+                let lev = Levelizer::from_subgraph(&succs, &cone).map_err(|e| {
+                    NumError::InvalidInput {
+                        context: p.context,
+                        detail: e.to_string(),
+                    }
+                })?;
+                (lev, cone)
+            }
+        };
+        let books: Vec<Vec<Mutex<Option<NetCommit>>>> = (0..lanes.len())
+            .map(|l| match &prior {
+                Some(p) => p.books[l].iter().map(|&s| Mutex::new(s)).collect(),
+                None => (0..nets).map(|_| Mutex::new(None)).collect(),
+            })
+            .collect();
+        let changed: Vec<Vec<AtomicBool>> = (0..lanes.len())
+            .map(|_| (0..nets).map(|_| AtomicBool::new(false)).collect())
+            .collect();
+        // Primary inputs are committed by the seed, not by a stage:
+        // (re-)seed them at the current slew.
+        let seeded = Some((0.0, seed_slew, NO_PRED));
+        let mut is_pi = vec![false; nets];
+        for &pi in self.netlist.primary_inputs() {
+            is_pi[pi.0] = true;
+            for (book, changed) in books.iter().zip(&changed) {
+                let mut slot = book[pi.0].lock().expect("net book");
+                if slot.is_none_or(|(_, _, p)| p == NO_PRED) && !commit_eq(*slot, seeded) {
+                    *slot = seeded;
+                    changed[pi.0].store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let in_seeds: Option<Vec<Vec<bool>>> = prior.as_ref().map(|p| {
+            let mark = |seeds: &BTreeSet<usize>| {
+                let mut v = vec![false; stages];
+                for &s in seeds {
+                    v[s] = true;
+                }
+                v
+            };
+            p.seeds.iter().map(mark).collect()
+        });
+        let lane_evals: Vec<AtomicUsize> = lanes.iter().map(|_| AtomicUsize::new(0)).collect();
+        let evaluated = AtomicUsize::new(0);
+        let arcs_requested = AtomicUsize::new(0);
+        let early_stops = AtomicUsize::new(0);
+        let level_of = trace_levels(&lev);
+        // Per-worker launch-point buffers: a fresh Vec per stage task
+        // costs ~0.5 µs of allocator traffic next to a ~10 µs arc.
+        let scratch: Vec<Mutex<Vec<_>>> = (0..self.threads).map(|_| Mutex::default()).collect();
+        qwm_exec::run_dag(self.threads, &lev, |w, local| -> Result<()> {
+            let gid = scope[local];
+            let _stage = trace_stage(&level_of, gid, local);
+            let part = self.graph.stage(StageId(gid));
+            // Every lane's launch point is read before the stage
+            // commits anything: run_dual's lanes read each other's
+            // books, and a stage may gate on its own output.
+            let mut launches = scratch[w].lock().expect("worker scratch");
+            launches.clear();
+            launches.extend(lanes.iter().enumerate().map(|(l, lane)| {
+                let from = lane.launch_from;
+                let triggered = in_seeds.as_ref().is_none_or(|s| s[l][gid])
+                    || part
+                        .input_nets
+                        .iter()
+                        .any(|n| changed[from][n.0].load(Ordering::Relaxed));
+                // The latest-arriving input launches the stage and
+                // lends it its slew.
+                triggered.then(|| {
+                    part.input_nets
+                        .iter()
+                        .filter_map(|n| *books[from][n.0].lock().expect("net book"))
+                        .fold(
+                            (0.0_f64, seed_slew),
+                            |acc, (a, sl, _)| {
+                                if a > acc.0 {
+                                    (a, sl)
+                                } else {
+                                    acc
+                                }
+                            },
+                        )
+                })
+            }));
+            let outputs = part.output_nets.len();
+            for (l, (lane, launch)) in lanes.iter().zip(launches.iter()).enumerate() {
+                let Some((launch, launch_slew)) = *launch else {
+                    // Fanin state is bitwise what the prior book was
+                    // computed from: the old commits stand.
+                    early_stops.fetch_add(outputs, Ordering::Relaxed);
+                    continue;
+                };
+                // Corner-scoped fault sites: a plan targeting
+                // "ss/qwm.region" degrades the ss lane alone.
+                let _scope = (!lane.corner.is_empty()).then(|| qwm_fault::scope(lane.corner));
+                evaluated.fetch_add(1, Ordering::Relaxed);
+                arcs_requested.fetch_add(outputs, Ordering::Relaxed);
+                for (pos, &net) in part.output_nets.iter().enumerate() {
+                    let sid = StageId(gid);
+                    let m = self.arc_timing(lane, &lane_evals[l], sid, pos, Some(launch_slew))?;
+                    let arr = launch + m.delay;
+                    // The commit rule: a seeded primary-input entry
+                    // only loses to a later arrival; every other net
+                    // has this stage as its sole committer.
+                    let candidate = if arr > 0.0 || !is_pi[net.0] {
+                        Some((arr, m.slew, gid))
+                    } else {
+                        seeded
+                    };
+                    let mut slot = books[l][net.0].lock().expect("net book");
+                    if commit_eq(*slot, candidate) {
+                        early_stops.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        *slot = candidate;
+                        changed[l][net.0].store(true, Ordering::Relaxed);
+                    }
+                }
+            }
+            Ok(())
+        })
+        .map_err(|(_, e)| e)?;
+        let books = books
+            .into_iter()
+            .map(|book| {
+                book.into_iter()
+                    .map(|slot| slot.into_inner().expect("net book"))
+                    .collect()
+            })
+            .collect();
+        let evaluations: Vec<usize> = lane_evals.into_iter().map(|c| c.into_inner()).collect();
+        let total: usize = evaluations.iter().sum();
+        let stats = IncrementalStats {
+            full_run: prior.is_none(),
+            dirty_stages: scope.len(),
+            evaluated_stages: evaluated.into_inner(),
+            reused_arcs: arcs_requested.into_inner() - total,
+            early_stop_nets: early_stops.into_inner(),
+            evaluations: total,
+        };
+        Ok(Propagated {
+            books,
+            evaluations,
+            stats,
+        })
+    }
+
+    /// One report per lane from a finished propagation: the lane's
+    /// book, its exact evaluation count and its evaluator's drained
+    /// degradations.
+    pub(crate) fn lane_reports(
+        &self,
+        lanes: &[Lane],
+        out: &Propagated,
+    ) -> Result<Vec<TimingReport>> {
+        let counted = out.books.iter().zip(&out.evaluations);
+        lanes
+            .iter()
+            .zip(counted)
+            .map(|(lane, (book, &n))| {
+                self.book_to_report(book, n, Self::drained_degradations(lane.evaluator))
+            })
+            .collect()
     }
 
     /// Rejects non-finite arrivals before any max scan, naming the
@@ -438,7 +736,8 @@ impl<'m> StaEngine<'m> {
     pub fn run(&self, evaluator: &dyn StageEvaluator) -> Result<TimingReport> {
         let _span = qwm_obs::span!("sta.run");
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.run");
-        let evals_before = self.total_evaluations();
+        let lane = self.own_lane(evaluator, self.direction, 0);
+        let evaluations = AtomicUsize::new(0);
         // Parallel phase: every (stage, output) delay.
         let mut tasks: Vec<(StageId, usize)> = Vec::new();
         let mut offsets: Vec<usize> = Vec::with_capacity(self.graph.len());
@@ -450,7 +749,8 @@ impl<'m> StaEngine<'m> {
         }
         let delays = qwm_exec::try_parallel_map(self.threads, tasks.len(), |_w, t| {
             let (sid, pos) = tasks[t];
-            self.stage_output_delay(evaluator, sid, pos)
+            self.arc_timing(&lane, &evaluations, sid, pos, None)
+                .map(|m| m.delay)
         })
         .map_err(|(_, e)| e)?;
         // Serial reduction keyed by the topological stage order.
@@ -481,23 +781,18 @@ impl<'m> StaEngine<'m> {
             slews: HashMap::new(),
             worst,
             critical_path,
-            evaluations: self.total_evaluations() - evals_before,
+            evaluations: evaluations.into_inner(),
             waveform_failures: 0,
             degradations: Self::drained_degradations(evaluator),
         })
     }
 
-    /// Slew-aware analysis: each stage is evaluated with the input slew
-    /// of its latest-arriving input (quantized to 1 ps for caching), and
-    /// its measured output slew feeds the downstream stages — the
-    /// waveform-propagation refinement the paper's §III-C motivates over
-    /// delay/slope-only timing.
-    ///
-    /// Because a stage's delay now depends on its fanin's slew, stages
-    /// are dispatched dependency-driven: each one runs the moment its
-    /// last fanin stage commits its output (arrival, slew) — no level
-    /// barriers. Every net has one driving stage, so commits never race
-    /// and the result is bitwise-identical for any worker count.
+    /// Slew-aware analysis: each stage is evaluated with the exact
+    /// input slew of its latest-arriving input, and its measured output
+    /// slew feeds the downstream stages — the waveform-propagation
+    /// refinement the paper's §III-C motivates over delay/slope-only
+    /// timing. One unnamed lane over the whole graph
+    /// ([`Self::propagate`]); bitwise-identical for any worker count.
     ///
     /// `input_slew` seeds the primary inputs (10–90 %).
     ///
@@ -510,89 +805,16 @@ impl<'m> StaEngine<'m> {
         input_slew: f64,
     ) -> Result<TimingReport> {
         let _span = qwm_obs::span!("sta.run_with_slew");
-        let evals_before = self.total_evaluations();
-        let book = self.propagate_slew_book(evaluator, input_slew)?;
-        self.report_from_book(&book, evals_before, evaluator)
-    }
-
-    /// Full slew-aware propagation: evaluates every stage
-    /// dependency-driven and returns the committed per-net book —
-    /// shared by [`Self::run_with_slew`] and the incremental flow's
-    /// cold path, so both commit bitwise-identical state.
-    pub(crate) fn propagate_slew_book(
-        &self,
-        evaluator: &dyn StageEvaluator,
-        input_slew: f64,
-    ) -> Result<Vec<Option<NetCommit>>> {
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.propagate");
-        // Per-net commit book: (arrival, slew, committing stage).
-        let book: Vec<Mutex<Option<NetCommit>>> = (0..self.netlist.net_count())
-            .map(|_| Mutex::new(None))
-            .collect();
-        for &pi in self.netlist.primary_inputs() {
-            *book[pi.0].lock().expect("net book") = Some((0.0, input_slew, NO_PRED));
-        }
-        let lev = {
-            let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
-            self.levelizer()?
-        };
-        let level_of = trace_levels(&lev);
-        qwm_exec::run_dag(self.threads, &lev, |_w, s| -> Result<()> {
-            let _stage = trace_stage(&level_of, s);
-            let sid = StageId(s);
-            let part = self.graph.stage(sid);
-            let (launch, launch_slew) = part
-                .input_nets
-                .iter()
-                .map(|n| match *book[n.0].lock().expect("net book") {
-                    Some((a, sl, _)) => (a, sl),
-                    None => (0.0, input_slew),
-                })
-                .fold(
-                    (0.0_f64, input_slew),
-                    |acc, (a, s)| {
-                        if a > acc.0 {
-                            (a, s)
-                        } else {
-                            acc
-                        }
-                    },
-                );
-            for (pos, &net) in part.output_nets.iter().enumerate() {
-                let m = self.stage_output_timing(evaluator, sid, pos, launch_slew)?;
-                let arr = launch + m.delay;
-                let mut slot = book[net.0].lock().expect("net book");
-                if slot.is_none_or(|(a, _, _)| arr > a) {
-                    *slot = Some((arr, m.slew, s));
-                }
-            }
-            Ok(())
-        })
-        .map_err(|(_, e)| e)?;
-        Ok(book
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("net book"))
-            .collect())
+        let lanes = [self.own_lane(evaluator, self.direction, 0)];
+        let out = self.propagate(&lanes, input_slew, None)?;
+        let mut reports = self.lane_reports(&lanes, &out)?;
+        Ok(reports.pop().expect("one lane, one report"))
     }
 
-    /// Builds a [`TimingReport`] from a committed per-net book.
-    pub(crate) fn report_from_book(
-        &self,
-        book: &[Option<NetCommit>],
-        evals_before: usize,
-        evaluator: &dyn StageEvaluator,
-    ) -> Result<TimingReport> {
-        self.book_to_report(
-            book,
-            self.total_evaluations() - evals_before,
-            Self::drained_degradations(evaluator),
-        )
-    }
-
-    /// Report-body extraction shared by the single-model and batched
-    /// corner flows: deterministic, keyed by net index; `evaluations`
-    /// and `degradations` are supplied by the caller (the corner flow
-    /// attributes both per corner).
+    /// Report-body extraction shared by every book-based flow:
+    /// deterministic, keyed by net index; `evaluations` and
+    /// `degradations` are attributed per lane by the caller.
     pub(crate) fn book_to_report(
         &self,
         book: &[Option<NetCommit>],
@@ -627,14 +849,13 @@ impl<'m> StaEngine<'m> {
     /// tracked separately per net and propagated through inverting arcs
     /// (an output fall launches from the latest input *rise* and vice
     /// versa — the static-CMOS convention). Primary inputs get both
-    /// transitions at t = 0 with `input_slew`.
-    ///
-    /// Dependency-driven parallel, like [`StaEngine::run_with_slew`].
+    /// transitions at t = 0 with `input_slew`. A fall lane and a rise
+    /// lane that launch from each other's book ([`Self::propagate`]).
     ///
     /// Returns `(fall report, rise report)` whose `arrivals`/`slews`
-    /// describe the respective output transitions; `worst` is the later
-    /// of each net's transitions in the fall report and symmetric in the
-    /// rise report.
+    /// describe the respective output transitions; `worst` is the
+    /// latest primary output of that transition, and both reports carry
+    /// the run's total `evaluations`. No critical path is extracted.
     ///
     /// # Errors
     ///
@@ -646,111 +867,30 @@ impl<'m> StaEngine<'m> {
     ) -> Result<(TimingReport, TimingReport)> {
         let _span = qwm_obs::span!("sta.run_dual");
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.run_dual");
-        let evals_before = self.total_evaluations();
-        // (arrival, slew) per net per transition.
-        let mk_book = || -> Vec<Mutex<Option<(f64, f64)>>> {
-            (0..self.netlist.net_count())
-                .map(|_| Mutex::new(None))
-                .collect()
-        };
-        let (fall, rise) = (mk_book(), mk_book());
-        for &pi in self.netlist.primary_inputs() {
-            *fall[pi.0].lock().expect("net book") = Some((0.0, input_slew));
-            *rise[pi.0].lock().expect("net book") = Some((0.0, input_slew));
-        }
-        let lev = {
-            let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
-            self.levelizer()?
-        };
-        let level_of = trace_levels(&lev);
-        qwm_exec::run_dag(self.threads, &lev, |_w, s| -> Result<()> {
-            let _stage = trace_stage(&level_of, s);
-            let sid = StageId(s);
-            let part = self.graph.stage(sid);
-            // Latest input rise drives the output fall, and vice versa.
-            let launch_of = |m: &[Mutex<Option<(f64, f64)>>]| {
-                part.input_nets
-                    .iter()
-                    .filter_map(|n| *m[n.0].lock().expect("net book"))
-                    .fold(
-                        (0.0_f64, input_slew),
-                        |acc, (a, s)| {
-                            if a > acc.0 {
-                                (a, s)
-                            } else {
-                                acc
-                            }
-                        },
-                    )
-            };
-            let (launch_fall, slew_for_fall) = launch_of(&rise);
-            let (launch_rise, slew_for_rise) = launch_of(&fall);
-            for (pos, &net) in part.output_nets.iter().enumerate() {
-                let mf = self.stage_output_timing_dir(
-                    evaluator,
-                    sid,
-                    pos,
-                    slew_for_fall,
-                    TransitionKind::Fall,
-                )?;
-                {
-                    let mut slot = fall[net.0].lock().expect("net book");
-                    if slot.is_none_or(|(a, _)| launch_fall + mf.delay > a) {
-                        *slot = Some((launch_fall + mf.delay, mf.slew));
-                    }
-                }
-                let mr = self.stage_output_timing_dir(
-                    evaluator,
-                    sid,
-                    pos,
-                    slew_for_rise,
-                    TransitionKind::Rise,
-                )?;
-                {
-                    let mut slot = rise[net.0].lock().expect("net book");
-                    if slot.is_none_or(|(a, _)| launch_rise + mr.delay > a) {
-                        *slot = Some((launch_rise + mr.delay, mr.slew));
-                    }
-                }
-            }
-            Ok(())
-        })
-        .map_err(|(_, e)| e)?;
-        let evaluations = self.total_evaluations() - evals_before;
+        let lanes = [
+            self.own_lane(evaluator, TransitionKind::Fall, 1),
+            self.own_lane(evaluator, TransitionKind::Rise, 0),
+        ];
+        let out = self.propagate(&lanes, input_slew, None)?;
         // Split the evaluator's provenance by the transition it was
         // recorded for, so each polarity report carries its own arcs.
         let (fall_deg, rise_deg): (Vec<Degradation>, Vec<Degradation>) =
             Self::drained_degradations(evaluator)
                 .into_iter()
                 .partition(|d| d.direction == TransitionKind::Fall);
-        let mk_report =
-            |book: &[Mutex<Option<(f64, f64)>>], degradations: Vec<Degradation>| -> Result<_> {
-                let mut arrivals: HashMap<NetId, f64> = HashMap::new();
-                let mut slews: HashMap<NetId, f64> = HashMap::new();
-                for (i, slot) in book.iter().enumerate() {
-                    if let Some((a, s)) = *slot.lock().expect("net book") {
-                        arrivals.insert(NetId(i), a);
-                        slews.insert(NetId(i), s);
-                    }
-                }
-                self.reject_non_finite(&arrivals)?;
-                let worst = self
-                    .netlist
-                    .primary_outputs()
-                    .iter()
-                    .filter_map(|&n| arrivals.get(&n).map(|&a| (n, a)))
-                    .max_by(|a, b| a.1.total_cmp(&b.1));
-                Ok(TimingReport {
-                    arrivals,
-                    slews,
-                    worst,
-                    critical_path: Vec::new(),
-                    evaluations,
-                    waveform_failures: 0,
-                    degradations,
-                })
-            };
-        Ok((mk_report(&fall, fall_deg)?, mk_report(&rise, rise_deg)?))
+        let mk_report = |book: &Book, degradations| -> Result<TimingReport> {
+            let mut r = self.book_to_report(book, out.stats.evaluations, degradations)?;
+            // Endpoints are primary outputs only here, never the
+            // globally worst net `book_to_report` falls back to.
+            let outputs = self.netlist.primary_outputs();
+            r.worst = r.worst.filter(|(n, _)| outputs.contains(n));
+            r.critical_path.clear();
+            Ok(r)
+        };
+        Ok((
+            mk_report(&out.books[0], fall_deg)?,
+            mk_report(&out.books[1], rise_deg)?,
+        ))
     }
 
     /// Waveform-accurate analysis — the paper's §III-C vision made
@@ -769,7 +909,7 @@ impl<'m> StaEngine<'m> {
     /// Returns `(fall arrivals, rise arrivals)` keyed by net, in absolute
     /// seconds (primary inputs step at `t = 0` with `input_slew`).
     ///
-    /// A failing QWM evaluation no longer skips the arc: it descends the
+    /// A failing QWM evaluation does not skip the arc: it descends the
     /// fallback ladder (damped QWM retry → adaptive transient →
     /// fixed-step transient), counts in `waveform_failures`, and records
     /// provenance retrievable via
@@ -806,13 +946,10 @@ impl<'m> StaEngine<'m> {
             *rise[pi.0].lock().expect("net book") =
                 Some((0.5 * ramp, Waveform::ramp_interned(0.0, ramp, 0.0, vdd)));
         }
-        let lev = {
-            let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
-            self.levelizer()?
-        };
+        let lev = self.levelizer()?;
         let level_of = trace_levels(&lev);
         qwm_exec::run_dag(self.threads, &lev, |_w, s| -> Result<()> {
-            let _stage = trace_stage(&level_of, s);
+            let _stage = trace_stage(&level_of, s, s);
             let sid = StageId(s);
             let part = self.graph.stage(sid);
             for &output_net in &part.output_nets {
@@ -827,7 +964,7 @@ impl<'m> StaEngine<'m> {
                         .input_nets
                         .iter()
                         .filter_map(|n| drivers[n.0].lock().expect("net book").clone())
-                        .max_by(|a, b| a.0.partial_cmp(&b.0).expect("finite crossings"))
+                        .max_by(|a, b| a.0.total_cmp(&b.0))
                     else {
                         continue;
                     };
@@ -887,6 +1024,12 @@ impl<'m> StaEngine<'m> {
                         )?;
                         r.output_waveform().to_waveform(2)
                     };
+                    let damped_attempt = |_| {
+                        let mut damped = config.clone();
+                        damped.region.max_iterations *= 2;
+                        damped.region.max_dv *= 0.5;
+                        qwm_attempt(&damped)
+                    };
                     // Transient rungs integrate well past the driver's
                     // 50 % crossing; dense samples are decimated so the
                     // downstream QWM stage is not flooded with promoted
@@ -915,57 +1058,29 @@ impl<'m> StaEngine<'m> {
                         let (t0, t1) = (s[0].0, s[s.len() - 1].0);
                         Waveform::from_samples(w.resample(t0, t1, 33)?)
                     };
-                    let mut failures: Vec<RungFailure> = Vec::new();
-                    let note =
-                        |failures: &mut Vec<RungFailure>, rung: FallbackRung, e: NumError| {
-                            qwm_obs::warn("sta.run_waveform.rung_failed")
-                                .field("stage", sid.0)
-                                .field("direction", format!("{direction:?}"))
-                                .field("rung", rung.name())
-                                .field("error", &e)
-                                .emit();
-                            failures.push(RungFailure {
-                                rung,
-                                error: e.to_string(),
-                            });
-                        };
+                    let rungs: [Rung<'_, Waveform>; 4] = [
+                        (FallbackRung::Qwm, 1, &|_| qwm_attempt(config)),
+                        (FallbackRung::QwmRetry, 1, &damped_attempt),
+                        (FallbackRung::SpiceAdaptive, 1, &|_| transient_attempt(true)),
+                        (FallbackRung::SpiceFixed, 1, &|_| transient_attempt(false)),
+                    ];
+                    let warn = |rung: FallbackRung, e: &NumError| {
+                        qwm_obs::warn("sta.run_waveform.rung_failed")
+                            .field("stage", sid.0)
+                            .field("direction", format!("{direction:?}"))
+                            .field("rung", rung.name())
+                            .field("error", e)
+                            .emit();
+                    };
                     // Arc trace: solve time covers the whole ladder;
                     // stale lookup attribution is discarded up front.
                     let arc_t0 = qwm_obs::trace::enabled().then(|| {
                         let _ = qwm_obs::trace::take_lookup_ns();
                         std::time::Instant::now()
                     });
-                    let landed = 'ladder: {
-                        match qwm_attempt(config) {
-                            Ok(w) => break 'ladder Some((FallbackRung::Qwm, w)),
-                            Err(e) => note(&mut failures, FallbackRung::Qwm, e),
-                        }
-                        {
-                            let _retry = qwm_fault::scope("retry");
-                            let mut damped = config.clone();
-                            damped.region.max_iterations *= 2;
-                            damped.region.max_dv *= 0.5;
-                            match qwm_attempt(&damped) {
-                                Ok(w) => break 'ladder Some((FallbackRung::QwmRetry, w)),
-                                Err(e) => note(&mut failures, FallbackRung::QwmRetry, e),
-                            }
-                        }
-                        match transient_attempt(true) {
-                            Ok(w) => break 'ladder Some((FallbackRung::SpiceAdaptive, w)),
-                            Err(e) => note(&mut failures, FallbackRung::SpiceAdaptive, e),
-                        }
-                        match transient_attempt(false) {
-                            Ok(w) => break 'ladder Some((FallbackRung::SpiceFixed, w)),
-                            Err(e) => note(&mut failures, FallbackRung::SpiceFixed, e),
-                        }
-                        None
-                    };
+                    let (landed, failures) = descend(&rungs, None, &warn);
                     let Some((rung, out_wf)) = landed else {
                         qwm_obs::counter!("sta.waveform.exhausted").incr();
-                        let chain_text: Vec<String> = failures
-                            .iter()
-                            .map(|f| format!("{}: {}", f.rung.name(), f.error))
-                            .collect();
                         return Err(NumError::InvalidInput {
                             context: "StaEngine::run_waveform: all fallback rungs failed",
                             detail: format!(
@@ -973,7 +1088,7 @@ impl<'m> StaEngine<'m> {
                                 sid.0,
                                 direction,
                                 self.netlist.net_name(output_net),
-                                chain_text.join("; ")
+                                failure_chain(&failures)
                             ),
                         });
                     };
@@ -1003,7 +1118,7 @@ impl<'m> StaEngine<'m> {
                                 output: self.netlist.net_name(output_net).to_string(),
                                 direction,
                                 landed: rung,
-                                failures: std::mem::take(&mut failures),
+                                failures,
                             });
                     }
                     let Some(t_out) = out_wf.crossing(vdd / 2.0, direction == TransitionKind::Rise)
@@ -1036,130 +1151,21 @@ impl<'m> StaEngine<'m> {
         Ok((to_map(fall), to_map(rise)))
     }
 
-    /// Timing arc at an *exact* input slew. The cache key carries the
-    /// slew's full bit pattern and the transition as structural fields:
-    /// two distinct slews can never collapse into one grid bin (the old
-    /// 1 ps rounding evaluated at the rounded slew, so sub-ps slews all
-    /// became 0), and the single-slew and dual flows can never serve
-    /// each other entries computed for a different request (the old
-    /// arithmetic packing made even-valued dual keys alias single-flow
-    /// keys). Entries are shared only when evaluator, stage, output,
-    /// direction *and* slew bits all match — by construction the same
-    /// pure computation.
-    fn stage_output_timing_dir(
-        &self,
-        evaluator: &dyn StageEvaluator,
-        sid: StageId,
-        out_pos: usize,
-        input_slew: f64,
-        direction: TransitionKind,
-    ) -> Result<TimingMetrics> {
-        self.arc_timing(
-            evaluator,
-            sid,
-            out_pos,
-            input_slew,
-            direction,
-            self.models,
-            "",
-            None,
-        )
-    }
-
-    /// The shared slew-aware timing-arc core: cache probe, evaluate,
-    /// commit — against an explicit model set and corner. The
-    /// single-model flows pass the engine's own models with corner `""`;
-    /// the batched corner flow passes per-corner models, the interned
-    /// corner name (a structural cache-key member) and a per-corner
-    /// evaluation counter so every corner's report carries its own exact
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn arc_timing(
-        &self,
-        evaluator: &dyn StageEvaluator,
-        sid: StageId,
-        out_pos: usize,
-        input_slew: f64,
-        direction: TransitionKind,
-        models: &ModelSet,
-        corner: &'static str,
-        corner_evals: Option<&AtomicUsize>,
-    ) -> Result<TimingMetrics> {
-        let key = CacheKey {
-            evaluator: evaluator.name(),
-            stage: sid.0,
-            out_pos,
-            direction,
-            slew_bits: input_slew.to_bits(),
-            corner,
-        };
-        if let Some(d) = self.slew_cache.get(&key) {
-            qwm_obs::counter!("sta.arc.cache_hits").incr();
-            if qwm_obs::trace::enabled() {
-                qwm_obs::trace::record_corner_arc(
-                    sid.0 as u64,
-                    corner,
-                    "cached",
-                    std::time::Instant::now(),
-                    0,
-                    0,
-                );
-            }
-            return Ok(TimingMetrics {
-                delay: d.0,
-                slew: d.1,
-            });
+    /// Drops every cached arc of `stage` and marks it dirty in both
+    /// incremental flows. The cache is keyed by stage, not by worker, so
+    /// invalidation is exact no matter which worker computed an entry.
+    pub(crate) fn invalidate_stage(&mut self, stage: StageId) {
+        self.arc_cache.retain(|k| k.stage != stage.0);
+        for flow in &mut self.flows {
+            flow.dirty.insert(stage.0);
         }
-        let part = self.graph.stage(sid);
-        let output_net = part.output_nets[out_pos];
-        let node = part
-            .stage
-            .node_by_name(self.netlist.net_name(output_net))
-            .ok_or_else(|| NumError::InvalidInput {
-                context: "StaEngine::stage_output_timing_dir",
-                detail: format!("output net {output_net:?} missing from stage"),
-            })?;
-        // Arc trace: discard stale lookup/rung attribution, then bracket
-        // the evaluator call so solve time, lookup time and the landed
-        // rung all land on this arc's record.
-        let arc_t0 = qwm_obs::trace::enabled().then(|| {
-            let _ = qwm_obs::trace::take_lookup_ns();
-            let _ = qwm_obs::trace::take_rung();
-            std::time::Instant::now()
-        });
-        let m = evaluator.timing(&part.stage, models, node, direction, input_slew)?;
-        if let Some(t0) = arc_t0 {
-            let lookup_ns = qwm_obs::trace::take_lookup_ns();
-            let (rung, retries) = qwm_obs::trace::take_rung().unwrap_or((evaluator.name(), 0));
-            qwm_obs::trace::record_corner_arc(sid.0 as u64, corner, rung, t0, lookup_ns, retries);
-        }
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        qwm_obs::counter!("sta.arc.evaluations").incr();
-        if let Some(ce) = corner_evals {
-            ce.fetch_add(1, Ordering::Relaxed);
-            qwm_obs::counter!("sta.corner.evaluations").incr();
-        }
-        self.slew_cache.insert(key, (m.delay, m.slew));
-        Ok(m)
-    }
-
-    pub(crate) fn stage_output_timing(
-        &self,
-        evaluator: &dyn StageEvaluator,
-        sid: StageId,
-        out_pos: usize,
-        input_slew: f64,
-    ) -> Result<TimingMetrics> {
-        self.stage_output_timing_dir(evaluator, sid, out_pos, input_slew, self.direction)
     }
 
     /// Resizes netlist device `device_index` to width `w` and invalidates
-    /// only the containing stage's cached delays (plus its gate-net
-    /// driver's, whose baked fanout load changed). The next
-    /// [`Self::run`] re-evaluates just those stages — the incremental
-    /// flow — at any worker count: the caches are keyed by stage, not
-    /// by worker, so invalidation is exact no matter which worker
-    /// originally computed an entry.
+    /// only the containing stage's cached arcs (plus its gate-net
+    /// driver's, whose baked fanout load changed). The next run
+    /// re-evaluates just those stages — the incremental flow — at any
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -1180,9 +1186,9 @@ impl<'m> StaEngine<'m> {
                     detail: format!("device {device_index} not found"),
                 })?;
         // Update both the netlist record and the partitioned stage edge.
-        let (geom, old_geom, gate_net, polarity) = {
+        let (geom, gate_net) = {
             let d = &self.netlist.devices()[device_index];
-            (Geometry { w, ..d.geom }, d.geom, d.gate, d.kind.polarity())
+            (Geometry { w, ..d.geom }, d.gate)
         };
         self.netlist.set_device_geometry(device_index, geom)?;
         let part = &mut self.graph.partitions_mut()[sid.0];
@@ -1192,43 +1198,27 @@ impl<'m> StaEngine<'m> {
             .position(|&d| d == device_index)
             .expect("device is in its stage");
         part.stage.set_edge_geometry(qwm_circuit::EdgeId(pos), geom);
-        // Invalidate that stage's cached delays and mark it dirty for
-        // the incremental flow.
-        self.delay_cache.retain(|k| k.stage != sid.0);
-        self.slew_cache.retain(|k| k.stage != sid.0);
-        self.dirty.insert(sid.0);
-        self.dirty_corners.insert(sid.0);
+        self.invalidate_stage(sid);
 
         // The resized gate's capacitance loads whichever stage drives
-        // its gate net: update that stage's baked fanout load and drop
-        // its caches too. A missing node here means the stage graph and
-        // the netlist disagree about net naming — silently skipping the
-        // load update would leave the driver's caches warm with a stale
-        // load, so it is a hard error.
-        if let (Some(gate), Some(p)) = (gate_net, polarity) {
-            if let Some(driver) = self.graph.driver_of(gate) {
-                let model = self.models.for_polarity(p);
-                let delta = model.input_cap(&geom) - model.input_cap(&old_geom);
-                let name = self.netlist.net_name(gate).to_string();
-                let dpart = &mut self.graph.partitions_mut()[driver.0];
-                let node =
-                    dpart
-                        .stage
-                        .node_by_name(&name)
-                        .ok_or_else(|| NumError::InvalidInput {
-                            context: "StaEngine::resize_device",
-                            detail: format!(
-                                "gate net {name:?} has driver stage {} but no node of that \
-                                 name in it — stage graph and netlist disagree",
-                                driver.0
-                            ),
-                        })?;
-                dpart.stage.add_load(node, delta);
-                self.delay_cache.retain(|k| k.stage != driver.0);
-                self.slew_cache.retain(|k| k.stage != driver.0);
-                self.dirty.insert(driver.0);
-                self.dirty_corners.insert(driver.0);
+        // its gate net: re-bake that stage's load and drop its caches
+        // too. A missing node here means the stage graph and the netlist
+        // disagree about net naming — silently skipping the load update
+        // would leave the driver's caches warm with a stale load, so it
+        // is a hard error.
+        if let Some((gate, driver)) = gate_net.and_then(|g| Some((g, self.graph.driver_of(g)?))) {
+            if !bake_load(&mut self.graph, &self.netlist, self.models, driver, gate) {
+                return Err(NumError::InvalidInput {
+                    context: "StaEngine::resize_device",
+                    detail: format!(
+                        "gate net {:?} has driver stage {} but no node of that \
+                         name in it — stage graph and netlist disagree",
+                        self.netlist.net_name(gate),
+                        driver.0
+                    ),
+                });
             }
+            self.invalidate_stage(driver);
         }
         Ok(())
     }

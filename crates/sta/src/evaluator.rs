@@ -662,51 +662,6 @@ impl FallbackEvaluator {
         }
     }
 
-    fn note_failure(
-        failures: &mut Vec<RungFailure>,
-        rung: FallbackRung,
-        err: NumError,
-        output_name: &str,
-    ) {
-        qwm_obs::warn("fallback.rung_failed")
-            .field("output", output_name)
-            .field("rung", rung.name())
-            .field("error", &err)
-            .emit();
-        failures.push(RungFailure {
-            rung,
-            error: err.to_string(),
-        });
-    }
-
-    /// Checks the stage wall budget before a (potentially expensive)
-    /// rung; on exhaustion records a `Timeout` failure for that rung.
-    fn wall_exhausted(
-        &self,
-        start: Instant,
-        failures: &mut Vec<RungFailure>,
-        rung: FallbackRung,
-        output_name: &str,
-    ) -> bool {
-        let Some(wall) = self.budget.stage_wall else {
-            return false;
-        };
-        if start.elapsed() < wall {
-            return false;
-        }
-        qwm_obs::counter!("fallback.ladder.budget_exhausted").incr();
-        Self::note_failure(
-            failures,
-            rung,
-            NumError::Timeout {
-                context: "FallbackEvaluator stage wall budget",
-                detail: format!("budget {wall:?} exhausted before {} rung", rung.name()),
-            },
-            output_name,
-        );
-        true
-    }
-
     fn land(
         &self,
         landed: FallbackRung,
@@ -739,9 +694,10 @@ impl FallbackEvaluator {
         Ok(metrics)
     }
 
-    /// The ladder: every rung is tried in descent order; the first
-    /// success is committed with its provenance, and exhaustion of all
-    /// rungs is a hard error carrying the full failure chain.
+    /// The ladder: [`descend`]s QWM → damped retries → adaptive →
+    /// fixed-step → Elmore bound; the first success is committed with
+    /// its provenance, and exhaustion of all rungs is a hard error
+    /// carrying the full failure chain.
     fn ladder(
         &self,
         stage: &LogicStage,
@@ -751,107 +707,108 @@ impl FallbackEvaluator {
         input_slew: Option<f64>,
     ) -> Result<TimingMetrics> {
         let _span = qwm_obs::span!("sta.eval.fallback");
-        let start = Instant::now();
         let output_name = stage.node(output).name.clone();
-        let mut failures: Vec<RungFailure> = Vec::new();
-
-        match self.qwm_attempt(&self.qwm, stage, models, output, direction, input_slew) {
-            Ok(m) => {
-                return self.land(FallbackRung::Qwm, failures, &output_name, direction, m);
-            }
-            Err(e) => Self::note_failure(&mut failures, FallbackRung::Qwm, e, &output_name),
-        }
-
-        if !self.wall_exhausted(start, &mut failures, FallbackRung::QwmRetry, &output_name) {
-            let _scope = qwm_fault::scope("retry");
-            for attempt in 0..self.budget.qwm_retries {
-                match self.qwm_attempt(
-                    &self.damped_qwm(attempt),
-                    stage,
-                    models,
-                    output,
-                    direction,
-                    input_slew,
-                ) {
-                    Ok(m) => {
-                        return self.land(
-                            FallbackRung::QwmRetry,
-                            failures,
-                            &output_name,
-                            direction,
-                            m,
-                        );
-                    }
-                    Err(e) => {
-                        Self::note_failure(&mut failures, FallbackRung::QwmRetry, e, &output_name);
-                    }
-                }
-            }
-        }
-
-        if !self.wall_exhausted(
-            start,
-            &mut failures,
-            FallbackRung::SpiceAdaptive,
-            &output_name,
-        ) {
-            match self.spice_attempt(true, stage, models, output, direction, input_slew) {
-                Ok(m) => {
-                    return self.land(
-                        FallbackRung::SpiceAdaptive,
-                        failures,
-                        &output_name,
-                        direction,
-                        m,
-                    );
-                }
-                Err(e) => {
-                    Self::note_failure(&mut failures, FallbackRung::SpiceAdaptive, e, &output_name);
-                }
-            }
-        }
-
-        if !self.wall_exhausted(start, &mut failures, FallbackRung::SpiceFixed, &output_name) {
-            match self.spice_attempt(false, stage, models, output, direction, input_slew) {
-                Ok(m) => {
-                    return self.land(
-                        FallbackRung::SpiceFixed,
-                        failures,
-                        &output_name,
-                        direction,
-                        m,
-                    );
-                }
-                Err(e) => {
-                    Self::note_failure(&mut failures, FallbackRung::SpiceFixed, e, &output_name);
-                }
-            }
-        }
-
+        let qwm =
+            |cfg: &QwmConfig| self.qwm_attempt(cfg, stage, models, output, direction, input_slew);
+        let spice =
+            |adaptive| self.spice_attempt(adaptive, stage, models, output, direction, input_slew);
         // The Elmore bound is cheap and always attempted, even when the
         // wall budget is spent — better a crude bound than no arc.
-        match ElmoreEvaluator.delay(stage, models, output, direction) {
-            Ok(delay) => self.land(
-                FallbackRung::ElmoreBound,
-                failures,
-                &output_name,
-                direction,
-                TimingMetrics { delay, slew: 0.0 },
-            ),
-            Err(e) => {
-                Self::note_failure(&mut failures, FallbackRung::ElmoreBound, e, &output_name);
+        let elmore = |_| {
+            let delay = ElmoreEvaluator.delay(stage, models, output, direction)?;
+            Ok(TimingMetrics { delay, slew: 0.0 })
+        };
+        let retries = self.budget.qwm_retries;
+        let rungs: [Rung<'_, TimingMetrics>; 5] = [
+            (FallbackRung::Qwm, 1, &|_| qwm(&self.qwm)),
+            (FallbackRung::QwmRetry, retries, &|i| {
+                qwm(&self.damped_qwm(i))
+            }),
+            (FallbackRung::SpiceAdaptive, 1, &|_| spice(true)),
+            (FallbackRung::SpiceFixed, 1, &|_| spice(false)),
+            (FallbackRung::ElmoreBound, 1, &elmore),
+        ];
+        let warn = |rung: FallbackRung, err: &NumError| {
+            qwm_obs::warn("fallback.rung_failed")
+                .field("output", &output_name)
+                .field("rung", rung.name())
+                .field("error", err)
+                .emit();
+        };
+        match descend(&rungs, self.budget.stage_wall, &warn) {
+            (Some((landed, m)), failures) => {
+                self.land(landed, failures, &output_name, direction, m)
+            }
+            (None, failures) => {
                 qwm_obs::counter!("fallback.ladder.exhausted").incr();
-                let chain: Vec<String> = failures
-                    .iter()
-                    .map(|f| format!("{}: {}", f.rung.name(), f.error))
-                    .collect();
                 Err(NumError::InvalidInput {
                     context: "FallbackEvaluator: all rungs failed",
-                    detail: format!("output {output_name}: {}", chain.join("; ")),
+                    detail: format!("output {output_name}: {}", failure_chain(&failures)),
                 })
             }
         }
     }
+}
+
+/// One rung of a fallback descent: the rung, how many attempts it gets
+/// (each failure is recorded), and the attempt itself, given the
+/// attempt index.
+pub(crate) type Rung<'a, T> = (FallbackRung, usize, &'a dyn Fn(usize) -> Result<T>);
+
+/// The one fallback-ladder driver: tries `rungs` in order and returns
+/// the first answer with the rung that produced it, plus every failure
+/// on the way down (all of them, and no answer, on exhaustion). Shared
+/// by [`FallbackEvaluator`] (timing-metrics payload) and
+/// `StaEngine::run_waveform` (waveform payload).
+///
+/// `warn` reports each failure as the caller's structured event. The
+/// QWM retry rung runs inside the `"retry"` fault scope. `stage_wall`
+/// gates the rungs between the first attempt and the Elmore bound: once
+/// it is spent they are skipped with a recorded `Timeout` failure.
+pub(crate) fn descend<T>(
+    rungs: &[Rung<'_, T>],
+    stage_wall: Option<Duration>,
+    warn: &dyn Fn(FallbackRung, &NumError),
+) -> (Option<(FallbackRung, T)>, Vec<RungFailure>) {
+    let start = Instant::now();
+    let mut failures: Vec<RungFailure> = Vec::new();
+    let note = |failures: &mut Vec<RungFailure>, rung: FallbackRung, err: NumError| {
+        warn(rung, &err);
+        failures.push(RungFailure {
+            rung,
+            error: err.to_string(),
+        });
+    };
+    for &(rung, attempts, attempt) in rungs {
+        let gated = !matches!(rung, FallbackRung::Qwm | FallbackRung::ElmoreBound);
+        if let Some(wall) = stage_wall.filter(|&w| gated && start.elapsed() >= w) {
+            qwm_obs::counter!("fallback.ladder.budget_exhausted").incr();
+            let err = NumError::Timeout {
+                context: "FallbackEvaluator stage wall budget",
+                detail: format!("budget {wall:?} exhausted before {} rung", rung.name()),
+            };
+            note(&mut failures, rung, err);
+            continue;
+        }
+        let _retry = (rung == FallbackRung::QwmRetry).then(|| qwm_fault::scope("retry"));
+        for i in 0..attempts {
+            match attempt(i) {
+                Ok(v) => return (Some((rung, v)), failures),
+                Err(e) => note(&mut failures, rung, e),
+            }
+        }
+    }
+    (None, failures)
+}
+
+/// Renders a failure chain as `rung: error; rung: error; …` for
+/// exhaustion errors.
+pub(crate) fn failure_chain(failures: &[RungFailure]) -> String {
+    let chain: Vec<String> = failures
+        .iter()
+        .map(|f| format!("{}: {}", f.rung.name(), f.error))
+        .collect();
+    chain.join("; ")
 }
 
 impl StageEvaluator for FallbackEvaluator {

@@ -3,65 +3,74 @@
 //! The paper's decomposition makes a single stage evaluation cheap; the
 //! flow that makes *repeated* analysis cheap — the sizing/optimization
 //! loop the paper targets — is not re-solving what didn't change. This
-//! module adds that flow on top of the levelized-parallel engine:
+//! module owns the state that makes the propagation core
+//! ([`StaEngine::propagate`], DESIGN.md §10) incremental:
 //!
-//! * a **persistent arrival/slew book** ([`CommittedBook`]) survives
-//!   across runs, holding the per-net `(arrival, slew, committing
-//!   stage)` state of the last analysis;
+//! * a [`Flow`] per incremental entry point — the **edit log** (stages
+//!   dirtied since the flow's last commit) and the **committed books**
+//!   ([`Committed`]) of its last analysis, surviving across runs;
 //! * a first-class **edit API** ([`Edit`], [`StaEngine::apply_edits`],
 //!   [`StaEngine::set_net_load`], [`StaEngine::set_input_slew`], plus
-//!   the existing [`StaEngine::resize_device`]) marks exactly the
-//!   edited stages dirty and surgically invalidates their cached arcs;
-//! * [`StaEngine::run_incremental`] levelizes **only the dirty fanout
-//!   cone** and re-evaluates it dependency-driven, stopping early at
-//!   any net whose recommitted `(arrival, slew)` is bitwise-unchanged.
+//!   [`StaEngine::resize_device`]) that marks exactly the edited stages
+//!   dirty and surgically invalidates their cached arcs;
+//! * [`StaEngine::retime`], the driver behind
+//!   [`StaEngine::run_incremental`] and
+//!   [`StaEngine::run_incremental_corners`]: it turns a flow's edit log
+//!   and committed books into the core's per-lane seed sets, and
+//!   commits the result.
 //!
 //! # Correctness contract
 //!
 //! The report returned by [`StaEngine::run_incremental`] is
 //! **bitwise-identical** to a cold [`StaEngine::run_with_slew`] at the
 //! engine's current input slew, at any worker count, for any edit
-//! sequence (pinned by `tests/incremental.rs`). The argument:
-//!
-//! 1. Every stage whose inputs could have changed lies in the static
-//!    fanout cone of the dirty seeds (cone closure), so stages outside
-//!    the cone keep their committed values — which are the cold-run
-//!    values by induction.
-//! 2. Inside the cone, a stage re-evaluates iff it is a seed or one of
-//!    its fanin nets actually changed; otherwise its old commit stands.
-//!    Re-evaluated arcs hit the exact-keyed caches
-//!    ([`crate::engine::CacheKey`] carries the full slew bit pattern
-//!    and the transition), so an arc at an unchanged operating point
-//!    reproduces the cold value bit for bit.
-//! 3. Each net is committed by exactly one stage and the cone sub-DAG
-//!    preserves every in-cone dependency edge, so commit order has the
-//!    same happens-before structure as the full run.
+//! sequence (pinned by `tests/incremental.rs`); DESIGN.md §10 carries
+//! the argument (cone closure, exact-keyed arc cache, one commit rule).
 //!
 //! Degradation provenance is drained per report by degrading
 //! evaluators (e.g. `FallbackEvaluator`), so only the *report bodies*
 //! (arrivals, slews, worst, critical path) carry the bitwise contract;
 //! `evaluations` naturally differs (that is the point).
 
-use crate::engine::{NetCommit, StaEngine, TimingReport, NO_PRED};
+use crate::engine::{bake_load, Book, Lane, NetCommit, Prior, StaEngine, TimingReport};
 use crate::evaluator::StageEvaluator;
-use crate::graph::StageId;
 use qwm_circuit::netlist::NetId;
-use qwm_exec::Levelizer;
 use qwm_num::{NumError, Result};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
 
-/// The persistent per-net commit book of the last incremental run.
+/// The books committed by a flow's last run, one per lane.
 #[derive(Debug, Clone)]
-pub(crate) struct CommittedBook {
-    /// Evaluator that produced the book; a different evaluator forces
-    /// a full re-run (its numbers are not comparable).
-    pub(crate) evaluator: &'static str,
-    /// Seed slew the book was computed at.
+pub(crate) struct Committed {
+    /// Corner name per lane (`[""]` for the single-corner flow); a
+    /// different lane list forces a full re-run.
+    pub(crate) corners: Vec<&'static str>,
+    /// Evaluator name per lane; a switch forces a full re-run (another
+    /// evaluator's numbers are not comparable).
+    pub(crate) evaluators: Vec<&'static str>,
+    /// Seed slew the books were computed at.
     pub(crate) input_slew: f64,
-    /// `(arrival, slew, committing stage or NO_PRED)` per net index;
-    /// `None` for nets never committed (rails, floating nets).
-    pub(crate) book: Vec<Option<NetCommit>>,
+    /// One per-net commit book per lane (same order as `corners`).
+    pub(crate) books: Vec<Book>,
+}
+
+/// The persistent state of one incremental flow.
+#[derive(Debug, Default)]
+pub(crate) struct Flow {
+    /// Stages edited since this flow's last commit.
+    pub(crate) dirty: BTreeSet<usize>,
+    /// `None` until the flow's first run (or a snapshot import).
+    pub(crate) committed: Option<Committed>,
+}
+
+/// Which of the engine's two flows a re-timing consumes
+/// (`StaEngine::flows` index). Two stay because a session may
+/// alternate single-corner and corner-sweep queries on one engine.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    /// [`StaEngine::run_incremental`].
+    Single = 0,
+    /// [`StaEngine::run_incremental_corners`].
+    Corners = 1,
 }
 
 /// Statistics of the last [`StaEngine::run_incremental`] call.
@@ -240,7 +249,6 @@ impl<'m> StaEngine<'m> {
                 detail: "cannot load a supply rail".to_string(),
             });
         }
-        let delta = cap - self.netlist.cap(net);
         self.netlist.set_cap(net, cap)?;
         let owner = self.graph.driver_of(net).or_else(|| {
             self.netlist
@@ -249,25 +257,19 @@ impl<'m> StaEngine<'m> {
                 .position(|d| d.src == net || d.snk == net)
                 .and_then(|di| self.graph.stage_of_device(di))
         });
-        if let Some(driver) = owner {
-            let name = self.netlist.net_name(net).to_string();
-            let dpart = &mut self.graph.partitions_mut()[driver.0];
-            let node = dpart
-                .stage
-                .node_by_name(&name)
-                .ok_or_else(|| NumError::InvalidInput {
+        if let Some(owner) = owner {
+            if !bake_load(&mut self.graph, &self.netlist, self.models, owner, net) {
+                return Err(NumError::InvalidInput {
                     context: "StaEngine::set_net_load",
                     detail: format!(
-                        "net {name:?} has driver stage {} but no node of that name in it \
+                        "net {:?} has driver stage {} but no node of that name in it \
                          — stage graph and netlist disagree",
-                        driver.0
+                        self.netlist.net_name(net),
+                        owner.0
                     ),
-                })?;
-            dpart.stage.add_load(node, delta);
-            self.delay_cache.retain(|k| k.stage != driver.0);
-            self.slew_cache.retain(|k| k.stage != driver.0);
-            self.dirty.insert(driver.0);
-            self.dirty_corners.insert(driver.0);
+                });
+            }
+            self.invalidate_stage(owner);
         }
         Ok(())
     }
@@ -309,198 +311,95 @@ impl<'m> StaEngine<'m> {
         let _span = qwm_obs::span!("sta.run_incremental");
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.run_incremental");
         qwm_obs::counter!("sta.incremental.runs").incr();
-        let evals_before = self.total_evaluations();
-        let needs_full = match &self.committed {
-            None => true,
-            Some(c) => c.evaluator != evaluator.name(),
-        };
-        if needs_full {
-            let book = self.propagate_slew_book(evaluator, self.input_slew)?;
-            let report = self.report_from_book(&book, evals_before, evaluator)?;
-            self.committed = Some(CommittedBook {
-                evaluator: evaluator.name(),
-                input_slew: self.input_slew,
-                book,
-            });
-            self.dirty.clear();
-            self.last_incremental = IncrementalStats {
-                full_run: true,
-                dirty_stages: self.graph.len(),
-                evaluated_stages: self.graph.len(),
-                reused_arcs: 0,
-                early_stop_nets: 0,
-                evaluations: report.evaluations,
-            };
+        let lanes = [self.own_lane(evaluator, self.direction, 0)];
+        let mut reports = self.retime(Slot::Single, &lanes)?;
+        let stats = self.last_incremental;
+        if stats.full_run {
             qwm_obs::counter!("sta.incremental.full_runs").incr();
-            return Ok(report);
+        } else {
+            qwm_obs::counter!("sta.incremental.dirty_stages").add(stats.dirty_stages as u64);
+            qwm_obs::counter!("sta.incremental.evaluated_stages")
+                .add(stats.evaluated_stages as u64);
+            qwm_obs::counter!("sta.incremental.reused_arcs").add(stats.reused_arcs as u64);
+            qwm_obs::counter!("sta.incremental.early_stop_nets").add(stats.early_stop_nets as u64);
         }
-        let committed = self.committed.as_ref().expect("committed book");
-        let old_book = &committed.book;
+        Ok(reports.pop().expect("one lane, one report"))
+    }
+
+    /// The incremental driver shared by both flows: propagates `lanes`
+    /// over the flow's committed books (or cold, when there are none or
+    /// they were computed for other lanes), builds one report per lane,
+    /// and only then commits books, statistics and the cleared edit log
+    /// — an error leaves the flow untouched.
+    pub(crate) fn retime(&mut self, slot: Slot, lanes: &[Lane]) -> Result<Vec<TimingReport>> {
+        let (context, cold_trace) = match slot {
+            Slot::Single => ("StaEngine::run_incremental", "sta.propagate"),
+            Slot::Corners => (
+                "StaEngine::run_incremental_corners",
+                "sta.propagate_corners",
+            ),
+        };
+        let corners: Vec<&'static str> = lanes.iter().map(|l| l.corner).collect();
+        let evaluators: Vec<&'static str> = lanes.iter().map(|l| l.evaluator.name()).collect();
         let seed_slew = self.input_slew;
-        let slew_changed = committed.input_slew.to_bits() != seed_slew.to_bits();
-
-        // Seed set: explicitly dirtied stages, plus — when the seed
-        // slew changed — every stage whose launch point in the old book
-        // had no positive-arrival fanin (those stages launch from the
-        // seed slew itself: primary-input readers, input-less stages,
-        // zero-arrival corners).
-        let mut seeds: std::collections::BTreeSet<usize> = self.dirty.clone();
-        if slew_changed {
-            for (i, p) in self.graph.partitions().iter().enumerate() {
-                let max_arr = p
-                    .input_nets
-                    .iter()
-                    .map(|n| old_book[n.0].map_or(0.0, |(a, _, _)| a))
-                    .fold(0.0_f64, f64::max);
-                if max_arr <= 0.0 {
-                    seeds.insert(i);
-                }
+        let flow = &self.flows[slot as usize];
+        let committed = flow
+            .committed
+            .as_ref()
+            .filter(|c| c.corners == corners && c.evaluators == evaluators);
+        let out = match committed {
+            None => {
+                let _trace = qwm_obs::trace::TraceGuard::enter(cold_trace);
+                self.propagate(lanes, seed_slew, None)?
             }
-        }
-
-        let cone = self.graph.fanout_cone(seeds.iter().copied());
-        self.last_incremental = IncrementalStats {
-            full_run: false,
-            dirty_stages: cone.len(),
-            evaluated_stages: 0,
-            reused_arcs: 0,
-            early_stop_nets: 0,
-            evaluations: 0,
-        };
-        if cone.is_empty() && !slew_changed {
-            // Nothing to do: the committed book is the answer.
-            let book = old_book.clone();
-            let report = self.report_from_book(&book, evals_before, evaluator)?;
-            self.dirty.clear();
-            return Ok(report);
-        }
-
-        // New book starts from the committed state; primary-input seed
-        // entries (the ones the seed, not a stage, committed) are
-        // re-seeded at the current slew.
-        let new_book: Vec<Mutex<Option<NetCommit>>> =
-            old_book.iter().map(|&s| Mutex::new(s)).collect();
-        let changed: Vec<AtomicBool> = (0..old_book.len())
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let mut is_pi = vec![false; old_book.len()];
-        for &pi in self.netlist.primary_inputs() {
-            is_pi[pi.0] = true;
-            let seeded = Some((0.0, seed_slew, NO_PRED));
-            let mut slot = new_book[pi.0].lock().expect("net book");
-            if slot.is_none_or(|(_, _, p)| p == NO_PRED) && !commit_eq(*slot, seeded) {
-                *slot = seeded;
-                changed[pi.0].store(true, Ordering::Relaxed);
-            }
-        }
-
-        let in_seeds = {
-            let mut v = vec![false; self.graph.len()];
-            for &s in &seeds {
-                v[s] = true;
-            }
-            v
-        };
-        let succs = self.graph.stage_dependencies();
-        let lev = Levelizer::from_subgraph(&succs, &cone).map_err(|e| NumError::InvalidInput {
-            context: "StaEngine::run_incremental",
-            detail: e.to_string(),
-        })?;
-        let evaluated = AtomicUsize::new(0);
-        let arcs_requested = AtomicUsize::new(0);
-        let early_stops = AtomicUsize::new(0);
-        // Trace stage records carry the *global* stage id; the level map
-        // is indexed by the cone-local id the sub-levelizer assigned.
-        let level_of = crate::engine::trace_levels(&lev);
-        qwm_exec::run_dag(self.threads(), &lev, |_w, local| -> Result<()> {
-            let gid = cone[local];
-            let _stage = level_of.as_ref().map(|lv| {
-                qwm_obs::trace::TraceGuard::enter_stage(
-                    "sta.stage",
-                    gid as u64,
-                    lv.get(local).copied().unwrap_or(0),
-                )
-            });
-            let part = self.graph.stage(StageId(gid));
-            let triggered = in_seeds[gid]
-                || part
-                    .input_nets
-                    .iter()
-                    .any(|n| changed[n.0].load(Ordering::Relaxed));
-            if !triggered {
-                // Fanin state is bitwise what the committed book was
-                // computed from: the old commits stand.
-                early_stops.fetch_add(part.output_nets.len(), Ordering::Relaxed);
-                return Ok(());
-            }
-            evaluated.fetch_add(1, Ordering::Relaxed);
-            // Identical launch fold to the cold propagation.
-            let (launch, launch_slew) = part
-                .input_nets
-                .iter()
-                .map(|n| match *new_book[n.0].lock().expect("net book") {
-                    Some((a, sl, _)) => (a, sl),
-                    None => (0.0, seed_slew),
-                })
-                .fold(
-                    (0.0_f64, seed_slew),
-                    |acc, (a, s)| {
-                        if a > acc.0 {
-                            (a, s)
-                        } else {
-                            acc
+            Some(c) => {
+                // Per-lane seed sets: the shared edit log, plus — when
+                // the seed slew changed — every stage whose launch
+                // point in *that lane's* old book had no
+                // positive-arrival fanin (those stages launch from the
+                // seed slew itself: primary-input readers, input-less
+                // stages, zero-arrival corners).
+                let slew_changed = c.input_slew.to_bits() != seed_slew.to_bits();
+                let reseeded = |book: &Book| {
+                    let mut seeds = flow.dirty.clone();
+                    if slew_changed {
+                        for (i, p) in self.graph.partitions().iter().enumerate() {
+                            let arrivals = p.input_nets.iter();
+                            let latest = arrivals.map(|n| book[n.0].map_or(0.0, |(a, _, _)| a));
+                            if latest.fold(0.0_f64, f64::max) <= 0.0 {
+                                seeds.insert(i);
+                            }
                         }
-                    },
-                );
-            arcs_requested.fetch_add(part.output_nets.len(), Ordering::Relaxed);
-            for (pos, &net) in part.output_nets.iter().enumerate() {
-                let m = self.stage_output_timing(evaluator, StageId(gid), pos, launch_slew)?;
-                let arr = launch + m.delay;
-                // Replicate the cold commit rule exactly: a seeded
-                // primary-input entry only loses to a later arrival;
-                // every other net has this stage as its sole committer.
-                let candidate = if is_pi[net.0] && arr <= 0.0 {
-                    Some((0.0, seed_slew, NO_PRED))
-                } else {
-                    Some((arr, m.slew, gid))
+                    }
+                    seeds
                 };
-                let mut slot = new_book[net.0].lock().expect("net book");
-                if commit_eq(*slot, candidate) {
-                    early_stops.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    *slot = candidate;
-                    changed[net.0].store(true, Ordering::Relaxed);
-                }
+                let seeds: Vec<BTreeSet<usize>> = c.books.iter().map(reseeded).collect();
+                let prior = Prior {
+                    books: &c.books,
+                    seeds: &seeds,
+                    context,
+                };
+                self.propagate(lanes, seed_slew, Some(prior))?
             }
-            Ok(())
-        })
-        .map_err(|(_, e)| e)?;
-
-        let book: Vec<Option<NetCommit>> = new_book
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("net book"))
-            .collect();
-        let report = self.report_from_book(&book, evals_before, evaluator)?;
-        let stats = IncrementalStats {
-            full_run: false,
-            dirty_stages: cone.len(),
-            evaluated_stages: evaluated.load(Ordering::Relaxed),
-            reused_arcs: arcs_requested.load(Ordering::Relaxed) - report.evaluations,
-            early_stop_nets: early_stops.load(Ordering::Relaxed),
-            evaluations: report.evaluations,
         };
-        self.last_incremental = stats;
-        qwm_obs::counter!("sta.incremental.dirty_stages").add(stats.dirty_stages as u64);
-        qwm_obs::counter!("sta.incremental.evaluated_stages").add(stats.evaluated_stages as u64);
-        qwm_obs::counter!("sta.incremental.reused_arcs").add(stats.reused_arcs as u64);
-        qwm_obs::counter!("sta.incremental.early_stop_nets").add(stats.early_stop_nets as u64);
-        self.committed = Some(CommittedBook {
-            evaluator: evaluator.name(),
-            input_slew: seed_slew,
-            book,
-        });
-        self.dirty.clear();
-        Ok(report)
+        let reports = self.lane_reports(lanes, &out)?;
+        self.last_incremental = out.stats;
+        if out.stats.full_run {
+            // A full run reports its scope, not reuse: there was no
+            // committed state to reuse or stop at.
+            self.last_incremental.reused_arcs = 0;
+            self.last_incremental.early_stop_nets = 0;
+        }
+        self.flows[slot as usize] = Flow {
+            dirty: BTreeSet::new(),
+            committed: Some(Committed {
+                corners,
+                evaluators,
+                input_slew: seed_slew,
+                books: out.books,
+            }),
+        };
+        Ok(reports)
     }
 }
 

@@ -48,7 +48,7 @@ pub fn format_report(
             .output_nets
             .iter()
             .filter_map(|&n| report.arrivals.get(&n).map(|&a| (n, a)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("critical-path stage has timed outputs");
         let _ = writeln!(
             out,
@@ -249,6 +249,43 @@ mod tests {
         let s = format_report(&report, engine.graph(), engine.netlist(), Some(worst * 2.0));
         assert!(!s.contains("VIOLATED"));
         assert!(s.contains("slack +"));
+    }
+
+    /// Regression: the latest-output pick used
+    /// `partial_cmp(..).expect("finite")`, so rendering a report whose
+    /// critical-path stage has two timed outputs and a NaN arrival
+    /// panicked. It needs a two-output stage: a pass transistor hangs a
+    /// second output off the inverter's channel-connected component.
+    #[test]
+    fn nan_arrivals_render_without_panicking() {
+        use qwm_circuit::stage::DeviceKind;
+        use qwm_device::model::Geometry;
+        let tech = Technology::cmosp35();
+        let models = analytic_models(&tech);
+        let mut nl = inverter_chain(&tech, 1, 10e-15);
+        let (n1, en, y) = (nl.find_net("n1").unwrap(), nl.net("en"), nl.net("y"));
+        nl.add_primary_input(en);
+        let g = Geometry::new(tech.w_min, tech.l_min);
+        nl.add_transistor("MPASS".to_string(), DeviceKind::Nmos, en, n1, y, g);
+        nl.add_primary_output(y);
+        let engine = StaEngine::new(nl, &models, TransitionKind::Fall).unwrap();
+        let mut report = engine.run(&ElmoreEvaluator).unwrap();
+        assert_eq!(
+            engine
+                .graph()
+                .stage(report.critical_path[0])
+                .output_nets
+                .len(),
+            2
+        );
+        for a in report.arrivals.values_mut() {
+            *a = f64::NAN;
+        }
+        let s = format_report(&report, engine.graph(), engine.netlist(), None);
+        assert!(
+            s.contains("NaN"),
+            "the bad arrival is shown, not hidden:\n{s}"
+        );
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! the dirty sets: edits applied after an import stay dirty, which is
 //! exactly what restore-then-replay needs.
 
-use crate::corners::CommittedCorners;
-use crate::engine::{NetCommit, StaEngine, NO_PRED};
-use crate::incremental::CommittedBook;
+use crate::engine::{Book, StaEngine, NO_PRED};
+use crate::incremental::{Committed, Slot};
 use qwm_circuit::waveform::TransitionKind;
 use qwm_device::corner::intern;
 use qwm_num::{NumError, Result};
@@ -56,7 +55,7 @@ pub struct CornerCommitSnapshot {
     pub books: Vec<Vec<NetEntry>>,
 }
 
-fn export_book(book: &[Option<NetCommit>]) -> Vec<NetEntry> {
+fn export_book(book: &Book) -> Vec<NetEntry> {
     book.iter()
         .map(|e| e.map(|(a, s, pred)| (a, s, (pred != NO_PRED).then_some(pred))))
         .collect()
@@ -67,7 +66,7 @@ fn import_book(
     book: Vec<NetEntry>,
     nets: usize,
     stages: usize,
-) -> Result<Vec<Option<NetCommit>>> {
+) -> Result<Book> {
     if book.len() != nets {
         return Err(NumError::InvalidInput {
             context,
@@ -110,13 +109,59 @@ impl<'m> StaEngine<'m> {
         self.direction
     }
 
+    /// The committed books of one flow as an owned snapshot.
+    fn export(&self, slot: Slot) -> Option<CornerCommitSnapshot> {
+        let c = self.flows[slot as usize].committed.as_ref()?;
+        Some(CornerCommitSnapshot {
+            corners: c.corners.iter().map(|s| s.to_string()).collect(),
+            evaluators: c.evaluators.iter().map(|s| s.to_string()).collect(),
+            input_slew: c.input_slew,
+            books: c.books.iter().map(export_book).collect(),
+        })
+    }
+
+    /// Validates a snapshot against this engine's netlist and makes it
+    /// one flow's committed books.
+    fn import(
+        &mut self,
+        slot: Slot,
+        context: &'static str,
+        snap: CornerCommitSnapshot,
+    ) -> Result<()> {
+        if snap.evaluators.len() != snap.corners.len() || snap.books.len() != snap.corners.len() {
+            return Err(NumError::InvalidInput {
+                context,
+                detail: format!(
+                    "{} corners but {} evaluators and {} books",
+                    snap.corners.len(),
+                    snap.evaluators.len(),
+                    snap.books.len()
+                ),
+            });
+        }
+        let (nets, stages) = (self.netlist.net_count(), self.graph.len());
+        let books = snap
+            .books
+            .into_iter()
+            .map(|b| import_book(context, b, nets, stages))
+            .collect::<Result<Vec<_>>>()?;
+        self.flows[slot as usize].committed = Some(Committed {
+            corners: snap.corners.iter().map(|s| intern(s)).collect(),
+            evaluators: snap.evaluators.iter().map(|s| intern(s)).collect(),
+            input_slew: snap.input_slew,
+            books,
+        });
+        Ok(())
+    }
+
     /// Exports the single-corner commit book, or `None` before the
     /// first `run_incremental`.
     pub fn export_committed(&self) -> Option<CommitSnapshot> {
-        self.committed.as_ref().map(|c| CommitSnapshot {
-            evaluator: c.evaluator.to_string(),
-            input_slew: c.input_slew,
-            book: export_book(&c.book),
+        let mut one = self.export(Slot::Single)?;
+        Some(CommitSnapshot {
+            evaluator: one.evaluators.pop()?,
+            input_slew: one.input_slew,
+            book: one.books.pop()?,
         })
     }
 
@@ -130,31 +175,19 @@ impl<'m> StaEngine<'m> {
     /// engine's netlist (wrong net count, out-of-range committing
     /// stage) or carries non-finite entries.
     pub fn import_committed(&mut self, snap: CommitSnapshot) -> Result<()> {
-        let book = import_book(
-            "StaEngine::import_committed",
-            snap.book,
-            self.netlist.net_count(),
-            self.graph.len(),
-        )?;
-        self.committed = Some(CommittedBook {
-            evaluator: intern(&snap.evaluator),
+        let one = CornerCommitSnapshot {
+            corners: vec![String::new()],
+            evaluators: vec![snap.evaluator],
             input_slew: snap.input_slew,
-            book,
-        });
-        Ok(())
+            books: vec![snap.book],
+        };
+        self.import(Slot::Single, "StaEngine::import_committed", one)
     }
 
     /// Exports the per-corner commit books, or `None` before the first
     /// `run_incremental_corners`.
     pub fn export_committed_corners(&self) -> Option<CornerCommitSnapshot> {
-        self.committed_corners
-            .as_ref()
-            .map(|c| CornerCommitSnapshot {
-                corners: c.corners.iter().map(|s| s.to_string()).collect(),
-                evaluators: c.evaluators.iter().map(|s| s.to_string()).collect(),
-                input_slew: c.input_slew,
-                books: c.books.iter().map(|b| export_book(b)).collect(),
-            })
+        self.export(Slot::Corners)
     }
 
     /// Seeds the per-corner commit books from a snapshot, replacing
@@ -168,32 +201,7 @@ impl<'m> StaEngine<'m> {
     /// count, or any per-book failure as in
     /// [`StaEngine::import_committed`].
     pub fn import_committed_corners(&mut self, snap: CornerCommitSnapshot) -> Result<()> {
-        let context = "StaEngine::import_committed_corners";
-        if snap.evaluators.len() != snap.corners.len() || snap.books.len() != snap.corners.len() {
-            return Err(NumError::InvalidInput {
-                context,
-                detail: format!(
-                    "{} corners but {} evaluators and {} books",
-                    snap.corners.len(),
-                    snap.evaluators.len(),
-                    snap.books.len()
-                ),
-            });
-        }
-        let nets = self.netlist.net_count();
-        let stages = self.graph.len();
-        let books = snap
-            .books
-            .into_iter()
-            .map(|b| import_book(context, b, nets, stages))
-            .collect::<Result<Vec<_>>>()?;
-        self.committed_corners = Some(CommittedCorners {
-            corners: snap.corners.iter().map(|s| intern(s)).collect(),
-            evaluators: snap.evaluators.iter().map(|s| intern(s)).collect(),
-            input_slew: snap.input_slew,
-            books,
-        });
-        Ok(())
+        self.import(Slot::Corners, "StaEngine::import_committed_corners", snap)
     }
 }
 

@@ -4,44 +4,44 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+# Every stage opens with `stage <title>`, which prints the wall time of
+# the stage before it (bash's SECONDS counter, whole seconds).
+stage() {
+    if [ -n "${STAGE:-}" ]; then
+        echo "<== ${STAGE}: $((SECONDS - STAGE_T0))s"
+    fi
+    STAGE="$1"
+    STAGE_T0=$SECONDS
+    echo "==> ${STAGE}"
+}
 
-echo "==> cargo test -q"
+stage "cargo build --release (workspace + qwm-bench)"
+cargo build --release
+cargo build --release -p qwm-bench
+
+stage "cargo test -q"
 cargo test -q
 
 # qwm-bench is outside default-members, so its suites (capacity deck
 # parsing, replay determinism, schema/compare gate, bounded live ramps)
 # need an explicit invocation.
-echo "==> cargo test -q -p qwm-bench"
+stage "cargo test -q -p qwm-bench"
 cargo test -q -p qwm-bench
 
 # The parallel engine must behave identically when forced wide
 # (QWM_THREADS=4 engines on every test) and when the harness itself is
 # serialized (RUST_TEST_THREADS=1 exposes ordering assumptions).
-echo "==> QWM_THREADS=4 cargo test -q"
+stage "QWM_THREADS=4 cargo test -q"
 QWM_THREADS=4 cargo test -q
 
-echo "==> RUST_TEST_THREADS=1 cargo test -q"
+stage "RUST_TEST_THREADS=1 cargo test -q"
 RUST_TEST_THREADS=1 cargo test -q
 
-# Incremental gate: the dirty-cone re-timing suite must hold when the
-# engines are forced wide (bitwise identity vs cold runs is asserted
-# per worker count inside the suite too).
-echo "==> QWM_THREADS=4 cargo test -q --test incremental"
-QWM_THREADS=4 cargo test -q --test incremental
-
-# Corner gate: the batched multi-corner determinism matrix must hold
-# when the engines are forced wide (batched-vs-independent bitwise
-# identity is asserted per worker count inside the suite), and the
-# corners_sweep bench must meet its speedup target over sequential
-# single-corner runs (byte-identical reports asserted before any
-# number is reported).
-echo "==> QWM_THREADS=4 cargo test -q --test corners"
-QWM_THREADS=4 cargo test -q --test corners
-
-echo "==> corners_sweep bench (BENCH_corners.json)"
-cargo build --release -p qwm-bench
+# Corner gate: the corners_sweep bench must meet its speedup target
+# over sequential single-corner runs (byte-identical reports asserted
+# before any number is reported). The incremental and corner suites
+# themselves already ran forced wide in the QWM_THREADS=4 pass above.
+stage "corners_sweep bench (BENCH_corners.json)"
 ./target/release/corners_sweep BENCH_corners.json
 grep -q '"meets_target": true' BENCH_corners.json
 grep -q '"bitwise_identical": true' BENCH_corners.json
@@ -51,7 +51,7 @@ grep -q '"bitwise_identical": true' BENCH_corners.json
 # bounded. Allocation counts are deterministic, so this gate cannot
 # flake; the timing bar (2x warm vs the pre-rework baseline) is
 # enforced by the full-mode run recorded in BENCH_kernel.json.
-echo "==> kernel_bench smoke gate (target/BENCH_kernel.smoke.json)"
+stage "kernel_bench smoke gate (target/BENCH_kernel.smoke.json)"
 ./target/release/kernel_bench --smoke target/BENCH_kernel.smoke.json
 grep -q '"meets_target": true' target/BENCH_kernel.smoke.json
 grep -q '"allocs_per_solve_steady": 0,' target/BENCH_kernel.smoke.json
@@ -59,7 +59,7 @@ grep -q '"allocs_per_solve_steady": 0,' target/BENCH_kernel.smoke.json
 # Failure-path gate: the fault-injection suite must also hold when the
 # whole binary runs under an ambient probabilistic chaos plan (two
 # fixed seeds so the streams differ but stay reproducible).
-echo "==> QWM_FAULTS chaos plans (seeds 1, 2)"
+stage "QWM_FAULTS chaos plans (seeds 1, 2)"
 QWM_FAULTS='seed=1;qwm.region=noconv:0.5' cargo test -q --test fault_injection
 QWM_FAULTS='seed=2;qwm.region=singular:0.5;spice.adaptive=timeout:0.25' \
     cargo test -q --test fault_injection
@@ -67,14 +67,14 @@ QWM_FAULTS='seed=2;qwm.region=singular:0.5;spice.adaptive=timeout:0.25' \
 # Observability gate, part 1: telemetry must never perturb results.
 # With tracing and obs off, the CLI report is byte-identical to the
 # committed golden.
-echo "==> tracing-off golden identity (path4 CLI)"
+stage "tracing-off golden identity (path4 CLI)"
 ./target/release/qwm testdata/path4.sp --slew 20 --threads 2 \
     > target/path4.cli.out 2>&1
 diff -u testdata/golden/path4.cli.golden target/path4.cli.out
 
 # Observability gate, part 2: QWM_OBS=json emits one well-formed JSON
 # object per telemetry line, and `qwm obs-report` accepts the stream.
-echo "==> QWM_OBS=json telemetry round-trip (path4 CLI)"
+stage "QWM_OBS=json telemetry round-trip (path4 CLI)"
 QWM_OBS=json ./target/release/qwm testdata/path4.sp --slew 20 --threads 2 \
     2>/dev/null | grep '^{' > target/path4.obs.jsonl
 test -s target/path4.obs.jsonl
@@ -86,8 +86,7 @@ test -s target/path4.obs.jsonl
 # cold invocations, and verify a clean drain. Emits BENCH_server.json
 # with queue-wait vs solve-time percentiles, plus a traced-run
 # metrics/trace dump rendered to a self-contained HTML report.
-echo "==> server smoke (qwm serve + server_load)"
-cargo build --release -p qwm-bench
+stage "server smoke (qwm serve + server_load)"
 rm -f target/serve_smoke.out
 ./target/release/qwm serve --addr 127.0.0.1:0 --max-inflight 8 \
     > target/serve_smoke.out 2>&1 &
@@ -120,7 +119,7 @@ test -s target/serve_obs.html
 # render a self-contained HTML capacity report. The real discovery run
 # (stock deck bounds, minutes of wall clock) stays behind
 # QWM_CAPACITY_FULL=1.
-echo "==> capacity smoke (server_capacity ramp + compare + HTML)"
+stage "capacity smoke (server_capacity ramp + compare + HTML)"
 rm -f target/capacity_smoke.out
 ./target/release/qwm serve --addr 127.0.0.1:0 --max-inflight 8 \
     > target/capacity_smoke.out 2>&1 &
@@ -175,25 +174,28 @@ diff target/capacity_plan.a target/capacity_plan.b
     --out target/capacity_report.html --title "capacity smoke"
 test -s target/capacity_report.html
 
-# Durability gate, part 1: the store-corruption fuzz suite (fixed seed
-# baked into the test) — every mutated log recovers via torn-tail
-# truncation or fails with a structured error, never a panic.
-echo "==> store corruption fuzz (fixed seed)"
-cargo test -q --test store_fuzz
-
-# Durability gate, part 2: kill/restart smoke — SIGKILL a stored server
+# Durability gate: kill/restart smoke — SIGKILL a stored server
 # mid-session, restart it, and require byte-identical reports, an
 # incremental (not cold) first query, and zero re-characterizations.
-echo "==> restart smoke (server_restart)"
+# (The store-corruption fuzz suite runs with the full suites above.)
+stage "restart smoke (server_restart)"
 ./target/release/server_restart --qwm ./target/release/qwm \
     --out target/BENCH_restart.json
 grep -q '"bitwise_identical": true' target/BENCH_restart.json
 grep -q '"incremental_first_query": true' target/BENCH_restart.json
 
-echo "==> cargo fmt --check"
+# Benchmark gate: benchmark/ is a workspace of its own, so nothing above
+# compiles it. The smoke run builds it against this tree's public API
+# and runs all six workloads with 1 s windows (correctness and counts
+# only; non-zero exit on any failed op or report mismatch).
+stage "benchmark smoke (benchmark/run.sh --smoke)"
+bash benchmark/run.sh --smoke > target/benchmark_smoke.out
+tail -n 1 target/benchmark_smoke.out
+
+stage "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
+stage "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> all checks passed"
+stage "all checks passed"

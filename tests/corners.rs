@@ -80,6 +80,19 @@ fn batched_sweep_matches_independent_runs_at_any_worker_count() {
                 .collect::<Vec<_>>()
                 .join("\x00"),
         );
+        // A single corner is a sweep of one: one named lane on a fresh
+        // engine (built with *another* corner's models) renders the
+        // bytes of `run_with_slew` on an engine built with its own.
+        let solo = StaEngine::new(nl.clone(), models.set(0), TransitionKind::Fall)
+            .expect("solo engine")
+            .with_threads(threads);
+        let one = solo.run_corners(&runs[3..4], slew).expect("sweep of one");
+        assert_eq!(one.corners, ["sf"]);
+        assert_eq!(
+            golden_report(&one.reports[0], solo.netlist()),
+            reference[3],
+            "a one-corner sweep @ {threads} threads differs from the single-corner run"
+        );
     }
     assert!(
         per_thread.windows(2).all(|w| w[0] == w[1]),
@@ -216,17 +229,33 @@ fn random_edit_sequences_match_cold_corner_runs() {
             let runs = runs_for(&models, &ev);
             let _ = engine.run_incremental_corners(&runs).expect("seed sweep");
             assert!(engine.incremental_stats().full_run, "first sweep is full");
+            let _ = engine.run_incremental(&ev).expect("seed single run");
+            assert!(engine.incremental_stats().full_run, "first single is full");
             let mut rng = Rng64::seed_from_u64(seed ^ 0xABCD);
             for round in 0..5 {
                 let (desc, edit) = random_edit(&mut rng, &engine, &tech);
                 edit.apply(&mut engine);
                 let runs = runs_for(&models, &ev);
+                // The single-corner flow shares the engine and takes
+                // turns going first: each flow consumes its own edit
+                // log, so whichever commits first must not hide the
+                // edit from the other.
+                let single_first = round % 2 == 0;
+                let mut single = None;
+                if single_first {
+                    single = Some(engine.run_incremental(&ev).expect("warm single"));
+                    assert!(!engine.incremental_stats().full_run);
+                }
                 let cr = engine.run_incremental_corners(&runs).expect("warm sweep");
                 let stats = engine.incremental_stats();
                 assert!(
                     !stats.full_run,
                     "seed {seed:#x} round {round}: edits must stay incremental"
                 );
+                if !single_first {
+                    single = Some(engine.run_incremental(&ev).expect("warm single"));
+                    assert!(!engine.incremental_stats().full_run);
+                }
                 for (i, report) in cr.reports.iter().enumerate() {
                     let cold = StaEngine::new(
                         engine.netlist().clone(),
@@ -245,6 +274,14 @@ fn random_edit_sequences_match_cold_corner_runs() {
                             cr.corners[i]
                         ),
                     );
+                    // The engine itself is built with corner 0's models.
+                    if i == 0 {
+                        assert_bodies_identical(
+                            single.as_ref().expect("single ran"),
+                            &cold,
+                            &format!("seed {seed:#x} round {round} single flow ({desc})"),
+                        );
+                    }
                 }
             }
         }

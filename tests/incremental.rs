@@ -267,3 +267,33 @@ fn batched_edits_settle_in_one_run() {
     let cold = cold_reference(engine.netlist(), &models, &ev, 25e-12, 1);
     assert_bodies_identical(&incr, &cold, "batched edits");
 }
+
+/// Regression (load drift): `resize_device` and `set_net_load` used to
+/// adjust a stage's baked load by a delta, while a cold build sums it
+/// afresh; over a long edit session the two differ in the last bit of a
+/// load, then of a delay. 300 seeded edits on one engine (half of them
+/// resizes) — far past the 8 edits per engine of the suites above —
+/// must still match a cold engine over the edited netlist bitwise,
+/// every round.
+#[test]
+fn long_edit_sessions_do_not_drift_from_cold_runs() {
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let ev = ElmoreEvaluator;
+    let nl = random_dag_netlist(&tech, 90, 0xD21F7);
+    let mut engine = StaEngine::new(nl, &models, TransitionKind::Fall).expect("engine");
+    engine.set_input_slew(15e-12).expect("slew");
+    let _ = engine.run_incremental(&ev).expect("seed run");
+    let mut rng = Rng64::seed_from_u64(0xD21F7 ^ 0xABCD);
+    let mut resizes = 0;
+    for round in 0..300 {
+        let edit = random_edit(&mut rng, engine.netlist(), &tech, false);
+        resizes += usize::from(matches!(edit, Edit::ResizeDevice { .. }));
+        engine.apply_edits(&[edit]).expect("edit applies");
+        let incr = engine.run_incremental(&ev).expect("incremental run");
+        assert!(!engine.incremental_stats().full_run);
+        let cold = cold_reference(engine.netlist(), &models, &ev, 15e-12, 1);
+        assert_bodies_identical(&incr, &cold, &format!("edit {round} ({edit:?})"));
+    }
+    assert!(resizes >= 120, "only {resizes} resizes drawn");
+}

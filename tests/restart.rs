@@ -22,8 +22,29 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 const DECK: &str = include_str!("../testdata/path4.sp");
-const EDIT1: &str = "resize MN2 1.2u\nload n2 20f\n";
-const EDIT2: &str = "resize MN4 1.5u\n";
+const EDIT2: &str = "resize MN4 1.5u\nresize MN2 1.4u\n";
+
+/// The first edit batch: 98 edits that walk every device of the deck
+/// through widths it never revisits, with a load edit every tenth line.
+/// A long script is the point — a restored engine rebuilds its baked
+/// fanout loads from the snapshotted netlist, a never-killed one has
+/// been editing them in place, and the two used to part in the last bit
+/// somewhere past a dozen edits.
+fn edit1() -> String {
+    const DEVICES: [&str; 12] = [
+        "MN1a", "MN1b", "MP1a", "MP1b", "MN2", "MP2", "MN3a", "MN3b", "MP3a", "MP3b", "MN4", "MP4",
+    ];
+    (0..98)
+        .map(|i| match i % 10 {
+            9 => format!("load n{} {}f\n", 1 + i % 4, 12 + i),
+            _ => format!(
+                "resize {} {:.3}u\n",
+                DEVICES[i % 12],
+                0.6 + 0.013 * i as f64
+            ),
+        })
+        .collect()
+}
 
 struct Serve {
     child: Child,
@@ -75,13 +96,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// `load; run; edit; run; edit` — the second edit is committed to the
-/// store but not yet re-timed when the kill lands.
+/// `load; run; edit; run; edit` (100 edits in all) — the second batch is
+/// committed to the store but not yet re-timed when the kill lands.
 fn drive_to_kill_point(c: &mut Client, sid: &str) -> (String, String) {
     assert!(c.load(sid, DECK).unwrap().ok(), "load");
     let r1 = c.send(&format!("run {sid} qwm slew_ps=20")).unwrap();
     assert!(r1.ok(), "first run: {} {}", r1.status, r1.head);
-    assert!(c.edit(sid, EDIT1).unwrap().ok(), "edit 1");
+    assert!(c.edit(sid, &edit1()).unwrap().ok(), "edit 1");
     let r2 = c.send(&format!("run {sid} qwm slew_ps=20")).unwrap();
     assert!(r2.ok(), "second run: {} {}", r2.status, r2.head);
     assert!(c.edit(sid, EDIT2).unwrap().ok(), "edit 2");

@@ -258,7 +258,14 @@ fn admission_control_rejects_excess_and_recovers() {
         let h = &handle;
         let blocker = scope.spawn(move || {
             let mut c = connect(h);
-            c.send("sleep 600").unwrap()
+            // The poller below may hold the slot for its 1 ms when this
+            // request lands; retry until admitted, or the test races.
+            loop {
+                let r = c.send("sleep 600").unwrap();
+                if r.status != 429 {
+                    break r;
+                }
+            }
         });
         // Poll from a second connection until the 429 is observed.
         let mut c = connect(&handle);
