@@ -522,7 +522,7 @@ mod tests {
             for &(e, other) in g.incident(at) {
                 if g.edge(e).kind == DeviceKind::Nmos && other != at && other.0 != at.0 {
                     // Move strictly "down" (toward smaller names / gnd).
-                    if other == g.sink() || g.node(other).name.starts_with('n') {
+                    if other == g.sink() || g.node_name(other).starts_with('n') {
                         at = other;
                         steps += 1;
                         if steps > 10 {
@@ -532,7 +532,7 @@ mod tests {
                     }
                 }
             }
-            panic!("pull-down chain broken at {}", g.node(at).name);
+            panic!("pull-down chain broken at {}", g.node_name(at));
         }
         assert_eq!(steps, 3);
     }
@@ -590,7 +590,7 @@ mod tests {
         assert_eq!(m.outputs().len(), 4);
         // phi gates the foot and all 5 precharge PMOS.
         let phi = m.input_by_name("phi").unwrap();
-        assert_eq!(m.input(phi).edges.len(), 6);
+        assert_eq!(m.input_edges(phi).len(), 6);
         assert!(manchester_carry_chain(&tech(), 0, DEFAULT_LOAD).is_err());
     }
 

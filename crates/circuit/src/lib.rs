@@ -33,6 +33,7 @@
 
 pub mod cells;
 pub mod flatten;
+mod intern;
 pub mod netlist;
 pub mod parser;
 pub mod partition;

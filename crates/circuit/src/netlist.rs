@@ -7,11 +7,18 @@
 //! every design cell created by designers maps naturally to a logic
 //! stage" (paper §I): stages must be constructed dynamically from the
 //! connectivity.
+//!
+//! Storage is flat: net names are interned in one arena behind a
+//! [`NameIndex`](crate::intern::NameIndex), per-net data (name,
+//! explicit capacitance, primary-I/O flags) is one dense table indexed
+//! by [`NetId`], and device names get an index of their own. Adding a
+//! net or a device allocates nothing beyond amortized table growth and
+//! the device's own name.
 
+use crate::intern::{name_at, name_hash, push_name, NameIndex, Span};
 use crate::stage::DeviceKind;
 use qwm_device::model::Geometry;
 use qwm_num::{NumError, Result};
-use std::collections::HashMap;
 
 /// Index of a net within a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,14 +41,28 @@ pub struct NetDevice {
     pub geom: Geometry,
 }
 
+/// What the netlist keeps per net.
+#[derive(Debug, Clone, Copy)]
+struct NetRecord {
+    name: Span,
+    /// Explicit grounded capacitance \[F\].
+    cap: f64,
+    /// Declared primary input / output.
+    input: bool,
+    output: bool,
+}
+
 /// A flat circuit: named nets, devices, explicit capacitors and
 /// primary-I/O declarations.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
-    names: Vec<String>,
-    by_name: HashMap<String, NetId>,
+    /// Every net name, back to back (a rename appends the new name).
+    names: String,
+    nets: Vec<NetRecord>,
+    by_name: NameIndex,
     devices: Vec<NetDevice>,
-    caps: HashMap<NetId, f64>,
+    /// Device name → the first device of that exact name.
+    by_device_name: NameIndex,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
 }
@@ -78,18 +99,30 @@ impl Netlist {
             "vdd!" | "VDD" | "vcc" => "vdd",
             other => other,
         };
-        if let Some(&id) = self.by_name.get(canonical) {
+        let hash = name_hash(canonical);
+        if let Some(id) = self.lookup_net(hash, canonical) {
             return id;
         }
-        let id = NetId(self.names.len());
-        self.names.push(canonical.to_string());
-        self.by_name.insert(canonical.to_string(), id);
+        let id = NetId(self.nets.len());
+        self.nets.push(NetRecord {
+            name: push_name(&mut self.names, canonical),
+            cap: 0.0,
+            input: false,
+            output: false,
+        });
+        self.by_name.insert(hash, id.0);
         id
+    }
+
+    fn lookup_net(&self, hash: u32, name: &str) -> Option<NetId> {
+        self.by_name
+            .find(hash, |i| name_at(&self.names, self.nets[i].name) == name)
+            .map(NetId)
     }
 
     /// Looks a net up without creating it.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.by_name.get(name).copied()
+        self.lookup_net(name_hash(name), name)
     }
 
     /// Net name by id.
@@ -98,7 +131,23 @@ impl Netlist {
     ///
     /// Panics on an out-of-range id.
     pub fn net_name(&self, id: NetId) -> &str {
-        &self.names[id.0]
+        name_at(&self.names, self.nets[id.0].name)
+    }
+
+    /// Appends a device and indexes its name unless an earlier device
+    /// already has exactly that name.
+    fn push_device(&mut self, device: NetDevice) -> usize {
+        let index = self.devices.len();
+        let hash = name_hash(&device.name);
+        let first = self
+            .by_device_name
+            .find(hash, |i| self.devices[i].name == device.name)
+            .is_none();
+        self.devices.push(device);
+        if first {
+            self.by_device_name.insert(hash, index);
+        }
+        index
     }
 
     /// Adds a transistor.
@@ -112,15 +161,14 @@ impl Netlist {
         geom: Geometry,
     ) -> usize {
         debug_assert!(kind != DeviceKind::Wire);
-        self.devices.push(NetDevice {
+        self.push_device(NetDevice {
             name: name.into(),
             kind,
             gate: Some(gate),
             src,
             snk,
             geom,
-        });
-        self.devices.len() - 1
+        })
     }
 
     /// Adds a wire segment of the given `w × l`.
@@ -132,20 +180,23 @@ impl Netlist {
         w: f64,
         l: f64,
     ) -> usize {
-        self.devices.push(NetDevice {
+        self.push_device(NetDevice {
             name: name.into(),
             kind: DeviceKind::Wire,
             gate: None,
             src: a,
             snk: b,
             geom: Geometry::new(w, l),
-        });
-        self.devices.len() - 1
+        })
     }
 
     /// Adds grounded capacitance at a net (accumulates).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range net.
     pub fn add_cap(&mut self, net: NetId, value: f64) {
-        *self.caps.entry(net).or_insert(0.0) += value;
+        self.nets[net.0].cap += value;
     }
 
     /// Sets the explicit grounded capacitance at a net to an absolute
@@ -162,17 +213,20 @@ impl Netlist {
                 detail: format!("capacitance {value}"),
             });
         }
-        if net.0 >= self.names.len() {
-            return Err(NumError::InvalidInput {
+        match self.nets.get_mut(net.0) {
+            Some(rec) => {
+                rec.cap = value;
+                Ok(())
+            }
+            None => Err(NumError::InvalidInput {
                 context: "Netlist::set_cap",
                 detail: format!("net {} out of range", net.0),
-            });
+            }),
         }
-        self.caps.insert(net, value);
-        Ok(())
     }
 
     /// Renames a net (ECO-style edits). The old name stops resolving.
+    /// Re-indexes every net name: O(nets).
     ///
     /// # Errors
     ///
@@ -185,42 +239,70 @@ impl Netlist {
                 detail: "cannot rename a supply rail".to_string(),
             });
         }
-        if net.0 >= self.names.len() {
+        if net.0 >= self.nets.len() {
             return Err(NumError::InvalidInput {
                 context: "Netlist::rename_net",
                 detail: format!("net {} out of range", net.0),
             });
         }
-        if self.by_name.contains_key(name) {
+        if self.find_net(name).is_some() {
             return Err(NumError::InvalidInput {
                 context: "Netlist::rename_net",
                 detail: format!("net name {name:?} already exists"),
             });
         }
-        let old = std::mem::replace(&mut self.names[net.0], name.to_string());
-        self.by_name.remove(&old);
-        self.by_name.insert(name.to_string(), net);
+        self.nets[net.0].name = push_name(&mut self.names, name);
+        self.by_name = NameIndex::default();
+        for i in 0..self.nets.len() {
+            let hash = name_hash(name_at(&self.names, self.nets[i].name));
+            self.by_name.insert(hash, i);
+        }
         Ok(())
     }
 
-    /// Resolves a device index by instance name (linear scan; edit
+    /// Resolves a device index by instance name: the first device of
+    /// exactly that name (case-sensitive), through the name index (edit
     /// files and CLIs address devices by name).
     pub fn find_device(&self, name: &str) -> Option<usize> {
-        self.devices.iter().position(|d| d.name == name)
+        self.by_device_name
+            .find(name_hash(name), |i| self.devices[i].name == name)
+    }
+
+    /// Whether some device's name equals `name` up to ASCII case (the
+    /// deck parser's duplicate-name rule).
+    pub(crate) fn has_device_named_ignoring_case(&self, name: &str) -> bool {
+        self.by_device_name
+            .find(name_hash(name), |i| {
+                self.devices[i].name.eq_ignore_ascii_case(name)
+            })
+            .is_some()
     }
 
     /// Declares a primary input net.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range net.
     pub fn add_primary_input(&mut self, net: NetId) {
-        if !self.primary_inputs.contains(&net) {
+        if !std::mem::replace(&mut self.nets[net.0].input, true) {
             self.primary_inputs.push(net);
         }
     }
 
     /// Declares a primary output net.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range net.
     pub fn add_primary_output(&mut self, net: NetId) {
-        if !self.primary_outputs.contains(&net) {
+        if !std::mem::replace(&mut self.nets[net.0].output, true) {
             self.primary_outputs.push(net);
         }
+    }
+
+    /// Whether `net` is a declared primary output.
+    pub(crate) fn is_primary_output(&self, net: NetId) -> bool {
+        self.nets.get(net.0).is_some_and(|n| n.output)
     }
 
     /// All devices.
@@ -255,7 +337,7 @@ impl Netlist {
 
     /// Explicit grounded capacitance at `net`.
     pub fn cap(&self, net: NetId) -> f64 {
-        self.caps.get(&net).copied().unwrap_or(0.0)
+        self.nets.get(net.0).map_or(0.0, |n| n.cap)
     }
 
     /// Declared primary inputs.
@@ -270,7 +352,7 @@ impl Netlist {
 
     /// Number of nets (including the rails).
     pub fn net_count(&self) -> usize {
-        self.names.len()
+        self.nets.len()
     }
 
     /// Basic sanity validation: every declared primary I/O exists and
@@ -367,5 +449,37 @@ mod tests {
         let b = n.net("b");
         n.add_wire("W1", a, b, 0.0, 1e-6);
         assert!(n.validate().is_err());
+    }
+
+    #[test]
+    fn find_device_is_exact_case_first_match() {
+        let t = Technology::cmosp35();
+        let g = Geometry::new(t.w_min, t.l_min);
+        let mut n = Netlist::new();
+        let (a, b, c) = (n.net("a"), n.net("b"), n.net("c"));
+        let gnd = n.gnd();
+        n.add_transistor("MN1", DeviceKind::Nmos, a, b, gnd, g);
+        n.add_transistor("mn1", DeviceKind::Nmos, a, c, gnd, g);
+        n.add_transistor("MN1", DeviceKind::Nmos, b, c, gnd, g);
+        n.add_wire("W1", b, c, 0.6e-6, 1e-6);
+        assert_eq!(n.find_device("MN1"), Some(0), "first of the duplicates");
+        assert_eq!(n.find_device("mn1"), Some(1), "case-sensitive");
+        assert_eq!(n.find_device("Mn1"), None);
+        assert_eq!(n.find_device("W1"), Some(3));
+        assert!(n.has_device_named_ignoring_case("Mn1"));
+        assert!(!n.has_device_named_ignoring_case("MN2"));
+        // Renaming a net moves net lookups only; devices keep resolving.
+        n.rename_net(b, "b2").unwrap();
+        assert_eq!(n.find_net("b"), None);
+        assert_eq!(n.find_net("b2"), Some(b));
+        assert_eq!(n.net_name(b), "b2");
+        assert_eq!((n.find_net("a"), n.find_net("c")), (Some(a), Some(c)));
+        assert!(n.rename_net(c, "a").is_err(), "name already taken");
+        assert_eq!(n.find_device("MN1"), Some(0));
+        assert_eq!(n.find_device("W1"), Some(3));
+        // A clone carries its indexes.
+        let m = n.clone();
+        assert_eq!(m.find_device("mn1"), Some(1));
+        assert_eq!(m.find_net("b2"), Some(b));
     }
 }

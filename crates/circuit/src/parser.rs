@@ -24,6 +24,7 @@
 //! layer relies on to turn bad `load` payloads into protocol `400`
 //! replies.
 
+use crate::intern::{name_at, name_hash, push_name, NameIndex, Span};
 use crate::netlist::Netlist;
 use crate::stage::DeviceKind;
 use qwm_device::model::Geometry;
@@ -37,33 +38,39 @@ use qwm_num::{NumError, Result};
 /// numbers (overflowing literals like `1e999` are rejected, not mapped
 /// to infinity).
 pub fn parse_value(s: &str) -> Result<f64> {
-    let lower = s.to_ascii_lowercase();
-    let (num, mult) = if let Some(stripped) = lower.strip_suffix("meg") {
-        (stripped, 1e6)
-    } else if let Some(stripped) = lower.strip_suffix('f') {
-        (stripped, 1e-15)
-    } else if let Some(stripped) = lower.strip_suffix('p') {
-        (stripped, 1e-12)
-    } else if let Some(stripped) = lower.strip_suffix('n') {
-        (stripped, 1e-9)
-    } else if let Some(stripped) = lower.strip_suffix('u') {
-        (stripped, 1e-6)
-    } else if let Some(stripped) = lower.strip_suffix('m') {
-        (stripped, 1e-3)
-    } else if let Some(stripped) = lower.strip_suffix('k') {
-        (stripped, 1e3)
-    } else if let Some(stripped) = lower.strip_suffix('g') {
-        (stripped, 1e9)
-    } else {
-        (lower.as_str(), 1.0)
-    };
-    match num.parse::<f64>() {
-        Ok(v) if (v * mult).is_finite() => Ok(v * mult),
-        _ => Err(NumError::InvalidInput {
-            context: "parse_value",
-            detail: format!("malformed value {s:?}"),
-        }),
+    scaled_value(s).ok_or_else(|| malformed_value(s))
+}
+
+fn malformed_value(s: &str) -> NumError {
+    NumError::InvalidInput {
+        context: "parse_value",
+        detail: format!("malformed value {s:?}"),
     }
+}
+
+/// `s` as an engineering-notation number, suffixes matched without
+/// regard to ASCII case; `None` unless it is a finite one.
+fn scaled_value(s: &str) -> Option<f64> {
+    let b = s.as_bytes();
+    let (num, mult) = if b.len() >= 3 && b[b.len() - 3..].eq_ignore_ascii_case(b"meg") {
+        (&s[..s.len() - 3], 1e6)
+    } else {
+        let mult = match b.last().map(u8::to_ascii_lowercase) {
+            Some(b'f') => 1e-15,
+            Some(b'p') => 1e-12,
+            Some(b'n') => 1e-9,
+            Some(b'u') => 1e-6,
+            Some(b'm') => 1e-3,
+            Some(b'k') => 1e3,
+            Some(b'g') => 1e9,
+            _ => 1.0,
+        };
+        // A suffix is one ASCII letter, so it ends on a char boundary.
+        let digits = if mult == 1.0 { s } else { &s[..s.len() - 1] };
+        (digits, mult)
+    };
+    let v = num.parse::<f64>().ok()? * mult;
+    v.is_finite().then_some(v)
 }
 
 /// A token plus its 1-based byte column within the source line.
@@ -74,9 +81,9 @@ struct Tok<'a> {
 }
 
 /// Splits the code portion of a line into whitespace-separated tokens,
-/// remembering where each starts.
-fn tokenize(code: &str) -> Vec<Tok<'_>> {
-    let mut toks = Vec::new();
+/// remembering where each starts; `toks` is reused from line to line.
+fn tokenize<'a>(code: &'a str, toks: &mut Vec<Tok<'a>>) {
+    toks.clear();
     let mut start: Option<usize> = None;
     for (i, c) in code.char_indices() {
         if c.is_whitespace() {
@@ -96,15 +103,52 @@ fn tokenize(code: &str) -> Vec<Tok<'_>> {
             col: s + 1,
         });
     }
-    toks
 }
 
+/// The value of a `key=value` token (`key` lowercase, matched without
+/// regard to ASCII case), if `token` is one. A malformed value's message
+/// quotes it lowercased.
 fn parse_kv(token: &str, key: &str) -> Option<Result<f64>> {
-    let lower = token.to_ascii_lowercase();
-    lower.strip_prefix(&format!("{key}=")).map(parse_value)
+    let b = token.as_bytes();
+    let k = key.len();
+    if b.len() <= k || b[k] != b'=' || !b[..k].eq_ignore_ascii_case(key.as_bytes()) {
+        return None;
+    }
+    let value = &token[k + 1..];
+    Some(scaled_value(value).ok_or_else(|| malformed_value(&value.to_ascii_lowercase())))
+}
+
+/// Names already taken by capacitor cards (capacitors are not netlist
+/// devices, so the netlist's device index cannot answer for them).
+#[derive(Default)]
+struct CapNames {
+    arena: String,
+    spans: Vec<Span>,
+    index: NameIndex,
+}
+
+impl CapNames {
+    /// Records `name`; `false` if it was taken up to ASCII case.
+    fn insert(&mut self, name: &str) -> bool {
+        let hash = name_hash(name);
+        let (arena, spans) = (&self.arena, &self.spans);
+        let taken = self.index.find(hash, |i| {
+            name_at(arena, spans[i]).eq_ignore_ascii_case(name)
+        });
+        if taken.is_some() {
+            return false;
+        }
+        self.index.insert(hash, self.spans.len());
+        self.spans.push(push_name(&mut self.arena, name));
+        true
+    }
 }
 
 /// Parses a deck into a [`Netlist`].
+///
+/// Tokens are borrowed slices of `text`, case-insensitive keywords are
+/// compared in place, and names go straight into the netlist's arena:
+/// a device line allocates its instance name and nothing else.
 ///
 /// # Errors
 ///
@@ -112,7 +156,8 @@ fn parse_kv(token: &str, key: &str) -> Option<Result<f64>> {
 /// 1-based line and column of the offending token in the message.
 pub fn parse_netlist(text: &str) -> Result<Netlist> {
     let mut nl = Netlist::new();
-    let mut seen_names: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut cap_names = CapNames::default();
+    let mut tokens: Vec<Tok<'_>> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let bad = |col: usize, why: &str| NumError::InvalidInput {
@@ -120,7 +165,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist> {
             detail: format!("line {line_no}, col {col}: {why}"),
         };
         let code = raw.split(';').next().unwrap_or("");
-        let tokens = tokenize(code);
+        tokenize(code, &mut tokens);
         let head = match tokens.first() {
             None => continue,
             Some(t) if t.text.starts_with('*') => continue,
@@ -131,43 +176,59 @@ pub fn parse_netlist(text: &str) -> Result<Netlist> {
             r.map_err(|e| bad(tok.col, &e.to_string()))
         };
         // W/L geometry must be a positive, finite length.
-        let geom_kv = |tok: Tok<'_>, key: &str| -> Option<Result<f64>> {
+        let geom_kv = |tok: Tok<'_>, key: &str, label: &str| -> Option<Result<f64>> {
             parse_kv(tok.text, key).map(|r| match at(tok, r) {
                 Ok(v) if v > 0.0 => Ok(v),
                 Ok(v) => Err(bad(
                     tok.col,
-                    &format!("{} must be positive, got {v:e}", key.to_uppercase()),
+                    &format!("{label} must be positive, got {v:e}"),
                 )),
                 Err(e) => Err(e),
             })
         };
-        let upper = head.text.to_ascii_uppercase();
-        if upper == ".END" {
+        // W= and L= among `fields`, the later of repeated keys winning.
+        let geometry = |fields: &[Tok<'_>]| -> Result<(Option<f64>, Option<f64>)> {
+            let (mut w, mut l) = (None, None);
+            for t in fields {
+                if let Some(v) = geom_kv(*t, "w", "W") {
+                    w = Some(v?);
+                } else if let Some(v) = geom_kv(*t, "l", "L") {
+                    l = Some(v?);
+                }
+            }
+            Ok((w, l))
+        };
+        if head.text.eq_ignore_ascii_case(".end") {
             break;
         }
-        if upper == ".INPUT" {
+        if head.text.eq_ignore_ascii_case(".input") {
             for t in &tokens[1..] {
                 let id = nl.net(t.text);
                 nl.add_primary_input(id);
             }
             continue;
         }
-        if upper == ".OUTPUT" {
+        if head.text.eq_ignore_ascii_case(".output") {
             for t in &tokens[1..] {
                 let id = nl.net(t.text);
                 nl.add_primary_output(id);
             }
             continue;
         }
-        let is_device = matches!(upper.chars().next(), Some('M' | 'W' | 'C'));
-        if is_device && !seen_names.insert(upper.clone()) {
+        let card = head.text.as_bytes()[0].to_ascii_uppercase();
+        let duplicate = match card {
+            b'M' | b'W' => nl.has_device_named_ignoring_case(head.text),
+            b'C' => !cap_names.insert(head.text),
+            _ => false,
+        };
+        if duplicate {
             return Err(bad(
                 head.col,
                 &format!("duplicate device name {:?}", head.text),
             ));
         }
-        match upper.chars().next() {
-            Some('M') => {
+        match card {
+            b'M' => {
                 // M<name> d g s b <nmos|pmos> W=.. L=..
                 if tokens.len() < 8 {
                     return Err(bad(head.col, "transistor needs 8 fields"));
@@ -182,27 +243,23 @@ pub fn parse_netlist(text: &str) -> Result<Netlist> {
                         &format!("transistor {:?} shorts drain to source", head.text),
                     ));
                 }
-                let kind = match tokens[5].text.to_ascii_lowercase().as_str() {
-                    "nmos" | "n" => DeviceKind::Nmos,
-                    "pmos" | "p" => DeviceKind::Pmos,
-                    other => return Err(bad(tokens[5].col, &format!("unknown model {other:?}"))),
+                let model = tokens[5].text;
+                let kind = if model.eq_ignore_ascii_case("nmos") || model.eq_ignore_ascii_case("n")
+                {
+                    DeviceKind::Nmos
+                } else if model.eq_ignore_ascii_case("pmos") || model.eq_ignore_ascii_case("p") {
+                    DeviceKind::Pmos
+                } else {
+                    let other = model.to_ascii_lowercase();
+                    return Err(bad(tokens[5].col, &format!("unknown model {other:?}")));
                 };
-                let mut w = None;
-                let mut l = None;
-                for t in &tokens[6..] {
-                    if let Some(v) = geom_kv(*t, "w") {
-                        w = Some(v?);
-                    } else if let Some(v) = geom_kv(*t, "l") {
-                        l = Some(v?);
-                    }
-                }
-                let (w, l) = match (w, l) {
+                let (w, l) = match geometry(&tokens[6..])? {
                     (Some(w), Some(l)) => (w, l),
                     _ => return Err(bad(head.col, "transistor needs W= and L=")),
                 };
                 nl.add_transistor(head.text, kind, g, d, s, Geometry::new(w, l));
             }
-            Some('W') => {
+            b'W' => {
                 // W<name> a b W=.. L=..
                 if tokens.len() < 5 {
                     return Err(bad(head.col, "wire needs 5 fields"));
@@ -215,22 +272,13 @@ pub fn parse_netlist(text: &str) -> Result<Netlist> {
                         &format!("wire {:?} shorts a net to itself", head.text),
                     ));
                 }
-                let mut w = None;
-                let mut l = None;
-                for t in &tokens[3..] {
-                    if let Some(v) = geom_kv(*t, "w") {
-                        w = Some(v?);
-                    } else if let Some(v) = geom_kv(*t, "l") {
-                        l = Some(v?);
-                    }
-                }
-                let (w, l) = match (w, l) {
+                let (w, l) = match geometry(&tokens[3..])? {
                     (Some(w), Some(l)) => (w, l),
                     _ => return Err(bad(head.col, "wire needs W= and L=")),
                 };
                 nl.add_wire(head.text, a, b, w, l);
             }
-            Some('C') => {
+            b'C' => {
                 // C<name> node 0 value
                 if tokens.len() < 4 {
                     return Err(bad(head.col, "capacitor needs 4 fields"));

@@ -12,9 +12,9 @@
 //! primary outputs become stage outputs.
 
 use crate::netlist::{NetId, Netlist};
-use crate::stage::{DeviceKind, LogicStage};
-use qwm_num::{NumError, Result};
-use std::collections::{HashMap, HashSet};
+use crate::stage::{DeviceKind, InputId, LogicStage, NodeId, NodeKind, StageBuilder};
+use qwm_num::Result;
+use std::fmt::Write as _;
 
 /// One extracted stage plus its connectivity back to the netlist.
 #[derive(Debug)]
@@ -55,128 +55,188 @@ impl Dsu {
     }
 }
 
+/// "Not yet seen in this stage" in the per-net scratch maps.
+const UNSEEN: u32 = u32::MAX;
+
 /// Partitions a netlist into channel-connected logic stages.
+///
+/// Stages are numbered by their component's key — the union-find root
+/// of the component's nets, or, for a device strung rail to rail (its
+/// own component), the net count plus its device index — and list their
+/// devices, nodes, inputs and outputs in device order. One pass groups
+/// the devices (a counting sort by stage), and per-net scratch maps
+/// (net → node, net → input) are reset and reused from stage to stage,
+/// so a stage costs only the vectors it keeps.
 ///
 /// # Errors
 ///
-/// Returns [`NumError::InvalidInput`] if the netlist fails validation or
-/// a component contains no devices (unreachable by construction).
+/// Returns [`qwm_num::NumError::InvalidInput`] if the netlist fails
+/// validation.
 pub fn partition(netlist: &Netlist) -> Result<Vec<StagePartition>> {
     netlist.validate()?;
     let n = netlist.net_count();
+    let devices = netlist.devices();
     let mut dsu = Dsu::new(n);
-    for d in netlist.devices() {
+    for d in devices {
         // Rails never merge components.
         if !netlist.is_rail(d.src) && !netlist.is_rail(d.snk) {
             dsu.union(d.src.0, d.snk.0);
         }
     }
 
-    // Group devices by the component of their non-rail terminal.
-    let mut comp_devices: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, d) in netlist.devices().iter().enumerate() {
-        let anchor = if !netlist.is_rail(d.src) {
-            d.src.0
-        } else if !netlist.is_rail(d.snk) {
-            d.snk.0
-        } else {
-            // A device strung rail-to-rail: its own singleton component,
-            // keyed by a sentinel (device index offset past all nets).
-            comp_devices.entry(n + i).or_default().push(i);
-            continue;
+    // Stage of every device: component roots are numbered in ascending
+    // order, then the rail-to-rail singletons in device order.
+    let mut stage_of: Vec<u32> = devices
+        .iter()
+        .map(|d| {
+            let anchor = [d.src, d.snk].into_iter().find(|&t| !netlist.is_rail(t));
+            anchor.map_or(UNSEEN, |t| dsu.find(t.0) as u32)
+        })
+        .collect();
+    let mut root_stage = vec![UNSEEN; n];
+    for &root in stage_of.iter().filter(|&&r| r != UNSEEN) {
+        root_stage[root as usize] = 0;
+    }
+    let mut stages = 0;
+    for s in root_stage.iter_mut().filter(|s| **s != UNSEEN) {
+        *s = stages;
+        stages += 1;
+    }
+    for s in &mut stage_of {
+        *s = match *s {
+            UNSEEN => {
+                stages += 1;
+                stages - 1
+            }
+            root => root_stage[root as usize],
         };
-        let root = dsu.find(anchor);
-        comp_devices.entry(root).or_default().push(i);
+    }
+
+    // Devices grouped by stage, ascending within each (counting sort).
+    let stages = stages as usize;
+    let mut first = vec![0usize; stages + 1];
+    for &s in &stage_of {
+        first[s as usize + 1] += 1;
+    }
+    for s in 0..stages {
+        first[s + 1] += first[s];
+    }
+    let mut members = vec![0usize; devices.len()];
+    let mut next = first.clone();
+    for (i, &s) in stage_of.iter().enumerate() {
+        members[next[s as usize]] = i;
+        next[s as usize] += 1;
     }
 
     // Which nets drive gates anywhere (stage outputs must include them).
-    let mut gate_nets: HashSet<NetId> = HashSet::new();
-    for d in netlist.devices() {
-        if let Some(g) = d.gate {
-            gate_nets.insert(g);
-        }
+    let mut drives_gate = vec![false; n];
+    for g in devices.iter().filter_map(|d| d.gate) {
+        drives_gate[g.0] = true;
     }
-    let primary_outputs: HashSet<NetId> = netlist.primary_outputs().iter().copied().collect();
 
-    let mut roots: Vec<usize> = comp_devices.keys().copied().collect();
-    roots.sort_unstable();
-
-    let mut result = Vec::new();
-    for root in roots {
-        let device_indices = &comp_devices[&root];
-        if device_indices.is_empty() {
-            return Err(NumError::InvalidInput {
-                context: "partition",
-                detail: "empty component".to_string(),
-            });
+    // Per-stage scratch, reset through the member lists after each stage.
+    let mut node_of = vec![UNSEEN; n];
+    let mut input_of = vec![UNSEEN; n];
+    let mut member_nets: Vec<NetId> = Vec::new();
+    let mut gate_nets: Vec<NetId> = Vec::new();
+    let mut result = Vec::with_capacity(stages);
+    for s in 0..stages {
+        let device_indices = &members[first[s]..first[s + 1]];
+        // Nodes in order of first mention (source, then sink), inputs in
+        // order of first gating; rails map to the stage's own rails.
+        let mut name_bytes = 6; // "vdd" + "gnd"
+        for &di in device_indices {
+            let d = &devices[di];
+            for t in [d.src, d.snk] {
+                if !netlist.is_rail(t) && node_of[t.0] == UNSEEN {
+                    node_of[t.0] = (member_nets.len() + 2) as u32;
+                    member_nets.push(t);
+                    name_bytes += netlist.net_name(t).len();
+                }
+            }
+            if let Some(g) = d.gate {
+                if input_of[g.0] == UNSEEN {
+                    input_of[g.0] = gate_nets.len() as u32;
+                    gate_nets.push(g);
+                    name_bytes += netlist.net_name(g).len();
+                }
+            }
         }
-        let mut b = LogicStage::builder(format!("stage_{}", result.len()));
-        let mut input_nets = Vec::new();
-        let mut output_nets = Vec::new();
-        let mut member_nets: Vec<NetId> = Vec::new();
-        let map_node = |b: &mut crate::stage::StageBuilder, nl: &Netlist, id: NetId| {
-            if id == nl.vdd() {
-                b.vdd()
-            } else if id == nl.gnd() {
-                b.gnd()
+        let is_output = |net: NetId| drives_gate[net.0] || netlist.is_primary_output(net);
+        let mut output_nets: Vec<NetId> = member_nets
+            .iter()
+            .copied()
+            .filter(|&t| is_output(t))
+            .collect();
+        // A stage with no natural output exposes every member net (it is
+        // observable only internally, e.g. a test fixture).
+        if output_nets.is_empty() {
+            output_nets = member_nets.clone();
+        }
+
+        // The stage name ("stage_" and up to 20 digits) heads the arena.
+        let mut name = String::with_capacity(26 + name_bytes);
+        let _ = write!(name, "stage_{s}");
+        let mut b = StageBuilder::new(
+            name,
+            member_nets.len(),
+            device_indices.len(),
+            gate_nets.len(),
+        );
+        for &net in &member_nets {
+            b.push_node(netlist.net_name(net), NodeKind::Internal);
+        }
+        for &net in &gate_nets {
+            b.push_input(netlist.net_name(net));
+        }
+        let (vdd, gnd) = (b.vdd(), b.gnd());
+        let node = |t: NetId| {
+            if t == netlist.vdd() {
+                vdd
+            } else if t == netlist.gnd() {
+                gnd
             } else {
-                b.node(nl.net_name(id))
+                NodeId(node_of[t.0] as usize)
             }
         };
         for &di in device_indices {
-            let d = &netlist.devices()[di];
-            let src = map_node(&mut b, netlist, d.src);
-            let snk = map_node(&mut b, netlist, d.snk);
-            for t in [d.src, d.snk] {
-                if !netlist.is_rail(t) && !member_nets.contains(&t) {
-                    member_nets.push(t);
-                }
-            }
+            let d = &devices[di];
+            let (src, snk) = (node(d.src), node(d.snk));
             match d.kind {
                 DeviceKind::Wire => {
                     b.wire(src, snk, d.geom.w, d.geom.l);
                 }
                 kind => {
                     let gate = d.gate.expect("transistor has a gate");
-                    let input = b.input(netlist.net_name(gate));
-                    if !input_nets.contains(&gate) {
-                        input_nets.push(gate);
-                    }
-                    let mut e_geom = d.geom;
-                    // Preserve explicit junction data if present.
-                    e_geom.w = d.geom.w;
-                    b.transistor(kind, input, src, snk, e_geom);
+                    let input = InputId(input_of[gate.0] as usize);
+                    b.transistor(kind, input, src, snk, d.geom);
                 }
             }
         }
         // Attach explicit caps and declare outputs.
         for &net in &member_nets {
-            let node = map_node(&mut b, netlist, net);
             let c = netlist.cap(net);
             if c > 0.0 {
-                b.load(node, c);
-            }
-            if gate_nets.contains(&net) || primary_outputs.contains(&net) {
-                b.output(node);
-                output_nets.push(net);
+                b.load(node(net), c);
             }
         }
-        // A stage with no natural output exposes every member net (it is
-        // observable only internally, e.g. a test fixture).
-        if output_nets.is_empty() {
-            for &net in &member_nets {
-                let node = map_node(&mut b, netlist, net);
-                b.output(node);
-                output_nets.push(net);
-            }
+        for &net in &output_nets {
+            b.output(node(net));
         }
         let stage = b.build()?;
+
         result.push(StagePartition {
             stage,
-            input_nets,
+            input_nets: gate_nets.clone(),
             output_nets,
-            device_indices: device_indices.clone(),
+            device_indices: device_indices.to_vec(),
         });
+        for net in member_nets.drain(..) {
+            node_of[net.0] = UNSEEN;
+        }
+        for net in gate_nets.drain(..) {
+            input_of[net.0] = UNSEEN;
+        }
     }
     Ok(result)
 }

@@ -118,7 +118,7 @@ impl Chain {
                         context: "Chain::extract",
                         detail: format!(
                             "path branches at node {:?} — pick a single worst-case path",
-                            stage.node(at).name
+                            stage.node_name(at)
                         ),
                     });
                 }
@@ -128,7 +128,7 @@ impl Chain {
                 context: "Chain::extract",
                 detail: format!(
                     "no {conduction:?}/wire continuation from node {:?}",
-                    stage.node(at).name
+                    stage.node_name(at)
                 ),
             })?;
             let edge = stage.edge(e);
@@ -265,7 +265,7 @@ impl Chain {
             context: "Chain::extract_worst",
             detail: format!(
                 "no {conduction:?}/wire path from {:?} to the rail",
-                stage.node(output).name
+                stage.node_name(output)
             ),
         })?;
 
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(chain.transistor_count(), 2, "a·b series path");
         let inputs = chain.gating_inputs();
         assert_eq!(inputs.len(), 2);
-        let names: Vec<&str> = inputs.iter().map(|&i| g.input(i).name.as_str()).collect();
+        let names: Vec<&str> = inputs.iter().map(|&i| g.input_name(i)).collect();
         assert!(names.contains(&"a") && names.contains(&"b"));
     }
 

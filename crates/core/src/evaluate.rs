@@ -311,6 +311,18 @@ fn evaluate_with(
             ),
         });
     }
+    // Events are ordered by time and levels by value: a non-finite
+    // breakpoint, voltage or level has no place in either order.
+    let samples = inputs.iter().flat_map(|w| w.samples());
+    if samples.flat_map(|&(t, v)| [t, v]).any(|x| !x.is_finite())
+        || !initial.iter().all(|v| v.is_finite())
+        || !config.crossing_fractions.iter().all(|f| f.is_finite())
+    {
+        return Err(NumError::InvalidInput {
+            context: "qwm::evaluate",
+            detail: "non-finite input sample, initial voltage or crossing level".to_string(),
+        });
+    }
     let start = Instant::now();
     let _span = qwm_obs::span!("qwm.evaluate");
     let vdd = models.tech().vdd;
@@ -377,8 +389,8 @@ fn evaluate_with(
         })
         .collect();
     targets.sort_by(|a, b| match direction {
-        TransitionKind::Fall => b.partial_cmp(a).unwrap(),
-        TransitionKind::Rise => a.partial_cmp(b).unwrap(),
+        TransitionKind::Fall => b.total_cmp(a),
+        TransitionKind::Rise => a.total_cmp(b),
     });
 
     let mut waveforms = vec![PiecewiseQuadratic::new(); n];
@@ -502,7 +514,7 @@ fn evaluate_with(
                     .filter(|&t| t > state.tau + config.region.min_delta)
                     .map(|t| (k, t))
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"));
+            .min_by(|a, b| a.1.total_cmp(&b.1));
         if let Some((k, t_on)) = gate_driven {
             let beats_best = best_kind.is_none() || t_on < best.tau_next;
             if beats_best
@@ -949,6 +961,61 @@ mod tests {
         let tech = Technology::cmosp35();
         let models = analytic_models(&tech);
         (tech, models)
+    }
+
+    /// Non-finite input breakpoints and crossing levels end in a
+    /// structured error, never a panic in the event ordering.
+    #[test]
+    fn non_finite_breakpoints_and_levels_are_errors() {
+        let (tech, models) = setup();
+        let stage = cells::inverter(&tech, cells::DEFAULT_LOAD).unwrap();
+        let out = stage.node_by_name("out").unwrap();
+        let init = initial_uniform_like(&stage, &models, tech.vdd);
+        let run = |inputs: Vec<Waveform>, config: &QwmConfig| {
+            evaluate(
+                &stage,
+                &models,
+                &inputs,
+                &init,
+                out,
+                TransitionKind::Fall,
+                config,
+            )
+        };
+        let good = || vec![Waveform::step(0.0, 0.0, tech.vdd)];
+        for t0 in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = run(
+                vec![Waveform::ramp(t0, 20e-12, 0.0, tech.vdd)],
+                &QwmConfig::default(),
+            );
+            assert!(
+                matches!(r, Err(NumError::InvalidInput { .. })),
+                "t0 {t0}: {r:?}"
+            );
+        }
+        for level in [f64::NAN, f64::INFINITY] {
+            let config = QwmConfig {
+                crossing_fractions: vec![0.9, level, 0.1],
+                ..QwmConfig::default()
+            };
+            let r = run(good(), &config);
+            assert!(
+                matches!(r, Err(NumError::InvalidInput { .. })),
+                "level {level}: {r:?}"
+            );
+        }
+        let mut bad_init = init.clone();
+        bad_init[out.0] = f64::NAN;
+        let r = evaluate(
+            &stage,
+            &models,
+            &good(),
+            &bad_init,
+            out,
+            TransitionKind::Fall,
+            &QwmConfig::default(),
+        );
+        assert!(matches!(r, Err(NumError::InvalidInput { .. })), "{r:?}");
     }
 
     #[test]

@@ -86,6 +86,7 @@ pub fn simulate_adaptive(
             ),
         });
     }
+    crate::engine::check_finite("simulate_adaptive", inputs, initial)?;
     let start = Instant::now();
     let _span = qwm_obs::span!("spice.simulate_adaptive");
     let _trace = qwm_obs::trace::TraceGuard::enter("spice.simulate_adaptive");

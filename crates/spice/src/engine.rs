@@ -196,6 +196,26 @@ pub fn initial_uniform(stage: &LogicStage, models: &ModelSet, v: f64) -> Vec<f64
         .collect()
 }
 
+/// Rejects non-finite input samples and initial voltages: breakpoints
+/// are ordered by time, and the device equations need real terminal
+/// voltages.
+pub(crate) fn check_finite(
+    context: &'static str,
+    inputs: &[Waveform],
+    initial: &[f64],
+) -> Result<()> {
+    let samples = inputs.iter().flat_map(|w| w.samples());
+    if samples.flat_map(|&(t, v)| [t, v]).any(|x| !x.is_finite())
+        || !initial.iter().all(|v| v.is_finite())
+    {
+        return Err(NumError::InvalidInput {
+            context,
+            detail: "non-finite input sample or initial voltage".to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// Runs a fixed-step transient simulation.
 ///
 /// `inputs` supplies one waveform per stage input (aligned with
@@ -243,6 +263,7 @@ pub fn simulate(
             detail: format!("step {} stop {}", config.step, config.t_stop),
         });
     }
+    check_finite("spice::simulate", inputs, initial)?;
 
     let start = Instant::now();
     let _span = qwm_obs::span!("spice.simulate");
@@ -329,7 +350,7 @@ impl<'a> Stepper<'a> {
             .flat_map(|w| w.samples().iter().map(|&(t, _)| t))
             .filter(|&t| t > 0.0)
             .collect();
-        breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        breakpoints.sort_by(f64::total_cmp);
         breakpoints.dedup();
         Ok(Stepper {
             stage,
@@ -628,6 +649,33 @@ mod tests {
         let tech = Technology::cmosp35();
         let models = analytic_models(&tech);
         (tech, models)
+    }
+
+    /// A non-finite input breakpoint or initial voltage ends in a
+    /// structured error, never a panic in the breakpoint ordering.
+    #[test]
+    fn non_finite_breakpoints_are_errors() {
+        let (tech, models) = setup();
+        let inv = cells::inverter(&tech, cells::DEFAULT_LOAD).unwrap();
+        let init = initial_uniform(&inv, &models, tech.vdd);
+        let cfg = TransientConfig::hspice_1ps(100e-12);
+        for t0 in [f64::NAN, f64::INFINITY] {
+            let inputs = vec![Waveform::ramp(t0, 20e-12, 0.0, tech.vdd)];
+            let r = simulate(&inv, &models, &inputs, &init, &cfg);
+            assert!(
+                matches!(r, Err(NumError::InvalidInput { .. })),
+                "t0 {t0}: {r:?}"
+            );
+        }
+        let mut bad = init.clone();
+        bad[2] = f64::NAN;
+        let inputs = vec![Waveform::step(10e-12, 0.0, tech.vdd)];
+        let r = simulate(&inv, &models, &inputs, &bad, &cfg);
+        assert!(matches!(r, Err(NumError::InvalidInput { .. })), "{r:?}");
+        let adaptive = crate::adaptive::AdaptiveConfig::new(100e-12);
+        let inputs = vec![Waveform::ramp(f64::NAN, 20e-12, 0.0, tech.vdd)];
+        let r = crate::adaptive::simulate_adaptive(&inv, &models, &inputs, &init, &adaptive);
+        assert!(matches!(r, Err(NumError::InvalidInput { .. })), "{r:?}");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::evaluator::{descend, failure_chain, Degradation, FallbackRung, Rung, 
 use crate::graph::{StageGraph, StageId};
 use crate::incremental::{commit_eq, Flow, IncrementalStats};
 use qwm_circuit::netlist::{NetId, Netlist};
+use qwm_circuit::stage::{InputId, NodeId};
 use qwm_circuit::waveform::{TimingMetrics, TransitionKind};
 use qwm_device::model::{Geometry, ModelSet};
 use qwm_exec::{Levelizer, ShardedMap};
@@ -219,7 +220,7 @@ fn trace_stage(
 /// construction and every load-changing edit go through here, so an
 /// edited engine's load is bitwise a rebuilt engine's (adjusting it by
 /// a delta per edit drifts in the last bit). Returns `false` when the
-/// stage has no node of the net's name.
+/// stage has no node for the net under the net's current name.
 pub(crate) fn bake_load(
     graph: &mut StageGraph,
     netlist: &Netlist,
@@ -227,22 +228,42 @@ pub(crate) fn bake_load(
     stage: StageId,
     net: NetId,
 ) -> bool {
-    let name = netlist.net_name(net);
+    let part = graph.stage(stage);
+    let node = match part.output_nets.iter().position(|&n| n == net) {
+        Some(pos) => part.stage.outputs()[pos],
+        None => match part.stage.node_by_name(netlist.net_name(net)) {
+            Some(node) => node,
+            None => return false,
+        },
+    };
+    bake_node_load(graph, netlist, models, stage, net, node)
+}
+
+/// [`bake_load`] with the net's node in `stage` already known (a
+/// partition's outputs are aligned with its `output_nets`). The node
+/// must still carry the net's name: a mismatch means the stage graph and
+/// the netlist disagree, and nothing is written.
+fn bake_node_load(
+    graph: &mut StageGraph,
+    netlist: &Netlist,
+    models: &ModelSet,
+    stage: StageId,
+    net: NetId,
+    node: NodeId,
+) -> bool {
+    if graph.stage(stage).stage.node_name(node) != netlist.net_name(net) {
+        return false;
+    }
     let mut fanout = 0.0;
-    for &user in graph.users_of(net) {
+    for (&user, &input) in graph.users_of(net).iter().zip(graph.user_inputs_of(net)) {
         let ustage = &graph.stage(user).stage;
-        if let Some(input) = ustage.input_by_name(name) {
-            fanout += ustage.input_cap(input, models);
-        }
+        fanout += ustage.input_cap(InputId(input as usize), models);
     }
     let load = netlist.cap(net).max(0.0) + fanout;
-    let part = &mut graph.partitions_mut()[stage.0];
-    let Some(node) = part.stage.node_by_name(name) else {
-        return false;
-    };
+    let stage = &mut graph.partitions_mut()[stage.0].stage;
     // `x − x` is exactly zero and `0 + load` exactly `load`.
-    part.stage.add_load(node, -part.stage.node(node).load_cap);
-    part.stage.add_load(node, load);
+    stage.add_load(node, -stage.node(node).load_cap);
+    stage.add_load(node, load);
     true
 }
 
@@ -266,8 +287,9 @@ impl<'m> StaEngine<'m> {
         // per-stage delays systematically undershoot a flat simulation.
         for i in 0..graph.len() {
             for pos in 0..graph.stage(StageId(i)).output_nets.len() {
-                let net = graph.stage(StageId(i)).output_nets[pos];
-                bake_load(&mut graph, &netlist, models, StageId(i), net);
+                let part = graph.stage(StageId(i));
+                let (net, node) = (part.output_nets[pos], part.stage.outputs()[pos]);
+                bake_node_load(&mut graph, &netlist, models, StageId(i), net, node);
             }
         }
         Ok(StaEngine {
@@ -419,13 +441,13 @@ impl<'m> StaEngine<'m> {
             return Ok(TimingMetrics { delay, slew });
         }
         let part = self.graph.stage(sid);
-        let output_net = part.output_nets[out_pos];
-        let node = part
+        let node = *part
             .stage
-            .node_by_name(self.netlist.net_name(output_net))
+            .outputs()
+            .get(out_pos)
             .ok_or_else(|| NumError::InvalidInput {
                 context: "StaEngine::arc_timing",
-                detail: format!("output net {output_net:?} missing from stage"),
+                detail: format!("stage {} has no output {out_pos}", sid.0),
             })?;
         // Arc trace: discard stale lookup/rung attribution, then bracket
         // the evaluator call so solve time, lookup time and the landed
@@ -952,7 +974,7 @@ impl<'m> StaEngine<'m> {
             let _stage = trace_stage(&level_of, s, s);
             let sid = StageId(s);
             let part = self.graph.stage(sid);
-            for &output_net in &part.output_nets {
+            for (&output_net, &node) in part.output_nets.iter().zip(part.stage.outputs()) {
                 for direction in [TransitionKind::Fall, TransitionKind::Rise] {
                     // Inverting arc: output falls when inputs rise.
                     let drivers = match direction {
@@ -968,13 +990,6 @@ impl<'m> StaEngine<'m> {
                     else {
                         continue;
                     };
-                    let node = part
-                        .stage
-                        .node_by_name(self.netlist.net_name(output_net))
-                        .ok_or_else(|| NumError::InvalidInput {
-                            context: "StaEngine::run_waveform",
-                            detail: format!("output net {output_net:?} missing"),
-                        })?;
                     // Sensitize the worst chain; gating inputs get the
                     // real driving waveform, others stay inactive.
                     let Ok(chain) =
@@ -1414,10 +1429,7 @@ mod slew_tests {
         let nl = inverter_chain(&tech, 2, 10e-15);
         let engine = StaEngine::new(nl, &models, TransitionKind::Fall).unwrap();
         let part = &engine.graph().partitions()[0];
-        let node = part
-            .stage
-            .node_by_name(engine.netlist().net_name(part.output_nets[0]))
-            .unwrap();
+        let node = part.stage.outputs()[0];
         let m = crate::evaluator::ElmoreEvaluator
             .timing(&part.stage, &models, node, TransitionKind::Fall, 10e-12)
             .unwrap();

@@ -707,7 +707,7 @@ impl FallbackEvaluator {
         input_slew: Option<f64>,
     ) -> Result<TimingMetrics> {
         let _span = qwm_obs::span!("sta.eval.fallback");
-        let output_name = stage.node(output).name.clone();
+        let output_name = stage.node_name(output).to_string();
         let qwm =
             |cfg: &QwmConfig| self.qwm_attempt(cfg, stage, models, output, direction, input_slew);
         let spice =

@@ -9,25 +9,36 @@
 use qwm_circuit::netlist::{NetId, Netlist};
 use qwm_circuit::partition::{partition, StagePartition};
 use qwm_num::{NumError, Result};
-use std::collections::HashMap;
 
 /// Index of a stage within a [`StageGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageId(pub usize);
 
+/// "No stage" in the dense per-net and per-device tables.
+const NONE: u32 = u32::MAX;
+
 /// The partitioned timing graph over a netlist.
+///
+/// Every map is dense: per-net and per-device tables indexed by
+/// [`NetId`] and device index, and the net → user-stage relation as one
+/// offset array over one entry array.
 #[derive(Debug)]
 pub struct StageGraph {
     partitions: Vec<StagePartition>,
-    /// Which stage drives each net (absent for primary inputs).
-    driver: HashMap<NetId, StageId>,
-    /// Stages whose inputs include each net.
-    users: HashMap<NetId, Vec<StageId>>,
+    /// Which stage drives each net (`NONE` for primary inputs).
+    driver: Vec<u32>,
+    /// `users[users_at[net]..users_at[net + 1]]`: the stages whose
+    /// inputs include `net`, in stage order.
+    users_at: Vec<u32>,
+    users: Vec<StageId>,
+    /// Aligned with `users`: the net's position among that stage's
+    /// `input_nets` (and so its input id).
+    user_inputs: Vec<u32>,
     /// Topological order of stage indices.
     topo: Vec<StageId>,
-    /// Netlist device index → containing stage (devices never migrate
-    /// between stages, so this is built once).
-    device_stage: HashMap<usize, StageId>,
+    /// Netlist device index → containing stage (`NONE` if none;
+    /// devices never migrate between stages, so this is built once).
+    device_stage: Vec<u32>,
 }
 
 impl StageGraph {
@@ -40,41 +51,68 @@ impl StageGraph {
     /// loops are out of scope for static timing).
     pub fn build(netlist: &Netlist) -> Result<Self> {
         let partitions = partition(netlist)?;
-        let mut driver: HashMap<NetId, StageId> = HashMap::new();
-        let mut users: HashMap<NetId, Vec<StageId>> = HashMap::new();
+        let nets = netlist.net_count();
+        let mut driver = vec![NONE; nets];
+        let mut users_at = vec![0u32; nets + 1];
         for (i, p) in partitions.iter().enumerate() {
             for &net in &p.output_nets {
-                driver.insert(net, StageId(i));
+                driver[net.0] = i as u32;
             }
             for &net in &p.input_nets {
-                users.entry(net).or_default().push(StageId(i));
+                users_at[net.0 + 1] += 1;
             }
         }
-
-        // Kahn's algorithm over stage→stage edges.
-        let n = partitions.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for net in 0..nets {
+            users_at[net + 1] += users_at[net];
+        }
+        let mut users = vec![StageId(0); users_at[nets] as usize];
+        let mut user_inputs = vec![0u32; users.len()];
+        let mut cursor = users_at.clone();
         for (i, p) in partitions.iter().enumerate() {
-            for &net in &p.output_nets {
-                for user in users.get(&net).into_iter().flatten() {
-                    if user.0 != i {
-                        succ[i].push(user.0);
-                        indeg[user.0] += 1;
-                    }
-                }
+            for (pos, &net) in p.input_nets.iter().enumerate() {
+                let at = cursor[net.0] as usize;
+                users[at] = StageId(i);
+                user_inputs[at] = pos as u32;
+                cursor[net.0] += 1;
             }
+        }
+        let mut device_stage = vec![NONE; netlist.devices().len()];
+        for (i, p) in partitions.iter().enumerate() {
+            for &d in &p.device_indices {
+                device_stage[d] = i as u32;
+            }
+        }
+        let mut graph = StageGraph {
+            partitions,
+            driver,
+            users_at,
+            users,
+            user_inputs,
+            topo: Vec::new(),
+            device_stage,
+        };
+        graph.topo = graph.kahn()?;
+        Ok(graph)
+    }
+
+    /// Kahn's algorithm over stage → stage edges (a stack worklist;
+    /// successors in output-net order, then `users_of` order).
+    fn kahn(&self) -> Result<Vec<StageId>> {
+        let n = self.partitions.len();
+        let mut indeg = vec![0usize; n];
+        for i in 0..n {
+            self.for_each_successor(i, |s| indeg[s] += 1);
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut topo = Vec::with_capacity(n);
         while let Some(i) = queue.pop() {
             topo.push(StageId(i));
-            for &s in &succ[i] {
+            self.for_each_successor(i, |s| {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     queue.push(s);
                 }
-            }
+            });
         }
         if topo.len() != n {
             return Err(NumError::InvalidInput {
@@ -82,21 +120,21 @@ impl StageGraph {
                 detail: "stage graph is cyclic (combinational loop)".to_string(),
             });
         }
-        let mut device_stage = HashMap::new();
-        for (i, p) in partitions.iter().enumerate() {
-            for &d in &p.device_indices {
-                device_stage.insert(d, StageId(i));
-            }
-        }
-        Ok(StageGraph {
-            partitions,
-            driver,
-            users,
-            topo,
-            device_stage,
-        })
+        Ok(topo)
     }
 
+    /// Calls `f` on every stage reading one of stage `i`'s output nets
+    /// (other than `i` itself), with repeats, in output-net then
+    /// `users_of` order.
+    fn for_each_successor(&self, i: usize, mut f: impl FnMut(usize)) {
+        for &net in &self.partitions[i].output_nets {
+            for user in self.users_of(net) {
+                if user.0 != i {
+                    f(user.0);
+                }
+            }
+        }
+    }
     /// The partitions, indexable by [`StageId`].
     pub fn partitions(&self) -> &[StagePartition] {
         &self.partitions
@@ -119,12 +157,30 @@ impl StageGraph {
 
     /// Which stage drives `net`, if any.
     pub fn driver_of(&self, net: NetId) -> Option<StageId> {
-        self.driver.get(&net).copied()
+        self.driver
+            .get(net.0)
+            .filter(|&&s| s != NONE)
+            .map(|&s| StageId(s as usize))
     }
 
-    /// Stages that read `net` as a gate input.
+    /// Range of `users` (and `user_inputs`) holding `net`'s readers.
+    fn user_range(&self, net: NetId) -> std::ops::Range<usize> {
+        match self.users_at.get(net.0..net.0 + 2) {
+            Some(&[a, b]) => a as usize..b as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Stages that read `net` as a gate input, in stage order.
     pub fn users_of(&self, net: NetId) -> &[StageId] {
-        self.users.get(&net).map(|v| v.as_slice()).unwrap_or(&[])
+        &self.users[self.user_range(net)]
+    }
+
+    /// Aligned with [`Self::users_of`]: the input of each reading stage
+    /// that `net` drives (its position among that stage's
+    /// `input_nets`).
+    pub(crate) fn user_inputs_of(&self, net: NetId) -> &[u32] {
+        &self.user_inputs[self.user_range(net)]
     }
 
     /// Topological order of the stages.
@@ -146,7 +202,10 @@ impl StageGraph {
     /// O(1): the index is precomputed at build time (a linear scan per
     /// resize used to make incremental sizing sweeps quadratic).
     pub fn stage_of_device(&self, device_index: usize) -> Option<StageId> {
-        self.device_stage.get(&device_index).copied()
+        self.device_stage
+            .get(device_index)
+            .filter(|&&s| s != NONE)
+            .map(|&s| StageId(s as usize))
     }
 
     /// The static fanout cone of `seeds`: every stage reachable from a
@@ -179,22 +238,15 @@ impl StageGraph {
     /// (`succs[i]` holds every stage reading one of stage `i`'s output
     /// nets), the input the parallel runners levelize.
     pub fn stage_dependencies(&self) -> Vec<Vec<usize>> {
-        let n = self.partitions.len();
-        let mut succs = vec![Vec::new(); n];
-        for (i, p) in self.partitions.iter().enumerate() {
-            for &net in &p.output_nets {
-                for user in self.users.get(&net).into_iter().flatten() {
-                    if user.0 != i {
-                        succs[i].push(user.0);
-                    }
-                }
-            }
-        }
-        for s in &mut succs {
-            s.sort_unstable();
-            s.dedup();
-        }
-        succs
+        (0..self.partitions.len())
+            .map(|i| {
+                let mut s = Vec::new();
+                self.for_each_successor(i, |t| s.push(t));
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect()
     }
 }
 
@@ -293,6 +345,7 @@ pub fn random_dag_netlist(tech: &qwm_device::Technology, stages: usize, seed: u6
 mod tests {
     use super::*;
     use qwm_device::Technology;
+    use std::collections::HashMap;
 
     #[test]
     fn inverter_chain_topology() {

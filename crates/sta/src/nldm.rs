@@ -65,7 +65,7 @@ impl NldmTable {
             });
         }
         let vdd = models.tech().vdd;
-        let out_name = stage.node(output).name.clone();
+        let out_name = stage.node_name(output).to_string();
         let mut delay = Vec::with_capacity(slews.len());
         let mut out_slew = Vec::with_capacity(slews.len());
         for &sl in &slews {

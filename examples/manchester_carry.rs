@@ -30,7 +30,7 @@ fn main() -> Result<(), NumError> {
         full.inputs().len(),
         full.outputs()
             .iter()
-            .map(|&o| full.node(o).name.clone())
+            .map(|&o| full.node_name(o).to_string())
             .collect::<Vec<_>>()
     );
 

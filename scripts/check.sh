@@ -192,6 +192,12 @@ stage "benchmark smoke (benchmark/run.sh --smoke)"
 bash benchmark/run.sh --smoke > target/benchmark_smoke.out
 tail -n 1 target/benchmark_smoke.out
 
+# The benchmark's own tests, also outside the root workspace: its deck
+# round trips run this tree's parse → partition → report path on
+# generated designs and require the golden report byte for byte.
+stage "cargo test -q --manifest-path benchmark/Cargo.toml"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 stage "cargo fmt --check"
 cargo fmt --check
 
