@@ -1,7 +1,7 @@
 //! Server capacity discovery: a ramping load-regression harness.
 //!
-//! This module answers the question `server_load` cannot: *where does
-//! `qwm serve` actually fall over?* Following the IC scalability
+//! This module answers the question a closed-loop load cannot: *where
+//! does `qwm serve` actually fall over?* Following the IC scalability
 //! framework's experiment shape, it steps the offered request rate
 //! against a live server (`initial_rps`, `+increment_rps`, up to
 //! `max_rps`), evaluates **stop thresholds** after every round —

@@ -6,8 +6,6 @@
 //! gnuplot-ready data dumps under `target/experiments/`.
 
 pub mod capacity;
-pub mod harness;
-pub mod load;
 
 use qwm::circuit::cells;
 use qwm::circuit::stage::{LogicStage, NodeId};

@@ -569,7 +569,7 @@ impl<'m> StaEngine<'m> {
             let part = self.graph.stage(StageId(gid));
             // Every lane's launch point is read before the stage
             // commits anything: run_dual's lanes read each other's
-            // books, and a stage may gate on its own output.
+            // books.
             let mut launches = scratch[w].lock().expect("worker scratch");
             launches.clear();
             launches.extend(lanes.iter().enumerate().map(|(l, lane)| {

@@ -47,8 +47,10 @@ impl StageGraph {
     /// # Errors
     ///
     /// Propagates partitioning failures; returns
-    /// [`NumError::InvalidInput`] if the stage graph is cyclic (latch
-    /// loops are out of scope for static timing).
+    /// [`NumError::InvalidInput`] if a stage gates one of its own
+    /// devices with one of its own output nets (a diode-connected
+    /// device, say) or if the stage graph is cyclic (latch loops are out
+    /// of scope for static timing).
     pub fn build(netlist: &Netlist) -> Result<Self> {
         let partitions = partition(netlist)?;
         let nets = netlist.net_count();
@@ -60,6 +62,26 @@ impl StageGraph {
             }
             for &net in &p.input_nets {
                 users_at[net.0 + 1] += 1;
+            }
+        }
+        // A net has one driving stage, so `driver[g] == i` is exactly
+        // "g is among stage i's outputs".
+        for (i, p) in partitions.iter().enumerate() {
+            let self_gated = p.device_indices.iter().find_map(|&d| {
+                let device = &netlist.devices()[d];
+                let gate = device.gate.filter(|g| driver[g.0] == i as u32)?;
+                Some((device, gate))
+            });
+            if let Some((device, gate)) = self_gated {
+                return Err(NumError::InvalidInput {
+                    context: "StageGraph::build",
+                    detail: format!(
+                        "{} is gated by its own output net {} at device {} (self-loop)",
+                        p.stage.name(),
+                        netlist.net_name(gate),
+                        device.name
+                    ),
+                });
             }
         }
         for net in 0..nets {
@@ -123,15 +145,13 @@ impl StageGraph {
         Ok(topo)
     }
 
-    /// Calls `f` on every stage reading one of stage `i`'s output nets
-    /// (other than `i` itself), with repeats, in output-net then
-    /// `users_of` order.
+    /// Calls `f` on every stage reading one of stage `i`'s output nets,
+    /// with repeats, in output-net then `users_of` order (`build`
+    /// rejects a stage reading its own outputs).
     fn for_each_successor(&self, i: usize, mut f: impl FnMut(usize)) {
         for &net in &self.partitions[i].output_nets {
             for user in self.users_of(net) {
-                if user.0 != i {
-                    f(user.0);
-                }
+                f(user.0);
             }
         }
     }
@@ -403,6 +423,41 @@ mod tests {
         nl.add_transistor("MN2", DeviceKind::Nmos, q, qb, gnd, geom);
         nl.add_transistor("MP2", DeviceKind::Pmos, q, vdd, qb, gp);
         assert!(StageGraph::build(&nl).is_err());
+    }
+
+    #[test]
+    fn self_gated_stage_rejected() {
+        use qwm_circuit::stage::DeviceKind;
+        use qwm_device::model::Geometry;
+        let tech = Technology::cmosp35();
+        let gn = Geometry::new(tech.w_min, tech.l_min);
+        let gp = Geometry::new(2.0 * tech.w_min, tech.l_min);
+        // A diode-connected NMOS under an inverter's PMOS.
+        let mut diode = Netlist::new();
+        let (vdd, gnd) = (diode.vdd(), diode.gnd());
+        let a = diode.net("a");
+        let y = diode.net("y");
+        diode.add_transistor("MP1", DeviceKind::Pmos, a, vdd, y, gp);
+        diode.add_transistor("MN1", DeviceKind::Nmos, y, y, gnd, gn);
+        diode.add_primary_input(a);
+        diode.add_primary_output(y);
+        // An inverter whose one net is both `.input` and `.output`.
+        let mut looped = Netlist::new();
+        let (vdd, gnd) = (looped.vdd(), looped.gnd());
+        let x = looped.net("x");
+        looped.add_transistor("MN2", DeviceKind::Nmos, x, x, gnd, gn);
+        looped.add_transistor("MP2", DeviceKind::Pmos, x, vdd, x, gp);
+        looped.add_primary_input(x);
+        looped.add_primary_output(x);
+        for (nl, net, device) in [(diode, "y", "MN1"), (looped, "x", "MN2")] {
+            let e = StageGraph::build(&nl).unwrap_err().to_string();
+            assert!(
+                e.contains("stage_0")
+                    && e.contains(&format!("net {net} "))
+                    && e.contains(&format!("device {device} ")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

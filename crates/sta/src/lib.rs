@@ -42,8 +42,6 @@ pub mod engine;
 pub mod evaluator;
 pub mod graph;
 pub mod incremental;
-pub mod liberty;
-pub mod nldm;
 pub mod report;
 pub mod snapshot;
 
@@ -52,8 +50,6 @@ pub use engine::{StaEngine, TimingReport};
 pub use evaluator::{ElmoreEvaluator, QwmEvaluator, SpiceEvaluator, StageEvaluator};
 pub use graph::{StageGraph, StageId};
 pub use incremental::{parse_edit_script, Edit, IncrementalStats};
-pub use liberty::{write_liberty, LibertyArc, LibertyCell};
-pub use nldm::NldmTable;
 pub use report::{format_report, golden_corner_report};
 pub use snapshot::{CommitSnapshot, CornerCommitSnapshot};
 

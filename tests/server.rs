@@ -363,6 +363,32 @@ fn protocol_and_parse_errors_are_structured() {
     stop(handle, join);
 }
 
+/// A stage gated by its own output (here a diode-connected NMOS) is
+/// refused at `load` with a structured 400 naming the device, so no
+/// session exists for a `run` to spin on.
+#[test]
+fn self_gated_deck_is_refused_at_load() {
+    let _g = locked();
+    qwm::fault::clear();
+    let (handle, join) = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let deck = "MP1 y a vdd vdd pmos W=1u L=0.35u\n\
+                MN1 y y 0 0 nmos W=1u L=0.35u\n\
+                .input a\n.output y\n.end\n";
+    let t0 = std::time::Instant::now();
+    let r = c.load("diode", deck).unwrap();
+    assert_eq!(r.status, 400, "self-gated deck: {}", r.head);
+    assert!(
+        r.head.contains("net y") && r.head.contains("device MN1"),
+        "the error names net and device: {}",
+        r.head
+    );
+    assert!(t0.elapsed() < Duration::from_secs(5), "answered at once");
+    let run = c.send("run diode elmore deadline_ms=500").unwrap();
+    assert_eq!(run.status, 404, "no session was installed: {}", run.head);
+    stop(handle, join);
+}
+
 #[test]
 fn traced_run_renders_full_span_tree_and_profile() {
     let _g = locked();
