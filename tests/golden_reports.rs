@@ -4,24 +4,33 @@
 //! The snapshot is rendered with [`qwm::sta::report::golden_report`]
 //! (sorted nets, `{:?}` floats — exact bit round-trips), so any diff is
 //! a real numeric change in the timing pipeline, not formatting noise.
-//! Re-bless intentionally changed numbers with:
+//! `arcs.golden` pins the arc layer underneath it the same way: each
+//! evaluator's and each fallback rung's delay and slew bits on four
+//! cells. Re-bless intentionally changed numbers with:
 //!
 //! ```text
 //! QWM_BLESS=1 cargo test --test golden_reports
 //! ```
 
+use qwm::circuit::cells;
 use qwm::circuit::parser::parse_netlist;
 use qwm::circuit::waveform::TransitionKind;
+use qwm::core::evaluate::QwmConfig;
 use qwm::device::{analytic_models, parse_corner_list, CornerModels, Technology};
 use qwm::fault::{FaultKind, FaultPlan};
 use qwm::sta::engine::StaEngine;
-use qwm::sta::evaluator::{FallbackEvaluator, QwmEvaluator};
+use qwm::sta::evaluator::{
+    Degradation, ElmoreEvaluator, FallbackEvaluator, QwmEvaluator, SpiceEvaluator, StageEvaluator,
+};
+use qwm::sta::graph::inverter_chain;
 use qwm::sta::report::{golden_corner_report, golden_report};
 use qwm::sta::CornerRun;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/golden/path4.report");
+const GOLDEN_ARCS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/golden/arcs.golden");
 const GOLDEN_DEGRADED: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/testdata/golden/path4_degraded.report"
@@ -229,6 +238,144 @@ fn clean_fallback_render_matches_qwm_lines() {
         .map(str::trim_end)
         .collect();
     assert_eq!(qwm_lines, fb_lines, "clean fallback == QWM byte for byte");
+}
+
+/// The fault sites that make the fallback ladder land on each lower
+/// rung: every site above it fails with probability 1.
+const LANDINGS: [(&str, &[&str]); 4] = [
+    ("qwm-retry", &["qwm.region"]),
+    ("spice-adaptive", &["qwm.region", "retry/qwm.region"]),
+    (
+        "spice-fixed",
+        &["qwm.region", "retry/qwm.region", "spice.adaptive"],
+    ),
+    (
+        "elmore-bound",
+        &[
+            "qwm.region",
+            "retry/qwm.region",
+            "spice.adaptive",
+            "spice.transient",
+        ],
+    ),
+];
+
+fn landing_plan(sites: &[&str]) -> FaultPlan {
+    sites.iter().fold(FaultPlan::new(1), |p, &s| {
+        p.inject(s, FaultKind::NoConvergence)
+    })
+}
+
+/// ` landed [rung: error; …]` for each degraded arc.
+fn render_degradations(degradations: &[Degradation]) -> String {
+    degradations
+        .iter()
+        .map(|d| {
+            let chain: Vec<String> = d
+                .failures
+                .iter()
+                .map(|f| format!("{}: {}", f.rung.name(), f.error))
+                .collect();
+            format!(" {} [{}]", d.landed.name(), chain.join("; "))
+        })
+        .collect()
+}
+
+/// Renders the arc matrix: inverter, NAND2, NOR2 and AOI21 on analytic
+/// models, fall and rise, `delay()` and `timing(30 ps)`, under every
+/// evaluator and with the fallback ladder landing on each rung; then
+/// `run_waveform` on a 3-inverter chain, clean and landing on the
+/// adaptive transient. Every number is its `f64::to_bits` in hex.
+fn render_arcs() -> String {
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let load = cells::DEFAULT_LOAD;
+    let stages = [
+        ("inv", cells::inverter(&tech, load).expect("inverter")),
+        ("nand2", cells::nand(&tech, 2, load).expect("nand2")),
+        ("nor2", cells::nor(&tech, 2, load).expect("nor2")),
+        ("aoi21", cells::aoi21(&tech, load).expect("aoi21")),
+    ];
+    let mut out = String::new();
+    let mut arcs = |label: &str, ev: &dyn StageEvaluator| {
+        for (cell, stage) in &stages {
+            let node = stage.node_by_name("out").expect("cells name 'out'");
+            for direction in [TransitionKind::Fall, TransitionKind::Rise] {
+                for input_slew in [None, Some(30e-12)] {
+                    let (mode, metrics) = match input_slew {
+                        None => (
+                            "delay",
+                            ev.delay(stage, &models, node, direction).map(|d| (d, 0.0)),
+                        ),
+                        Some(s) => (
+                            "timing30ps",
+                            ev.timing(stage, &models, node, direction, s)
+                                .map(|m| (m.delay, m.slew)),
+                        ),
+                    };
+                    let value = match metrics {
+                        Ok((d, s)) => format!("{:016x} {:016x}", d.to_bits(), s.to_bits()),
+                        Err(e) => format!("error {e}"),
+                    };
+                    let degraded = render_degradations(&ev.take_degradations());
+                    writeln!(out, "{label} {cell} {direction:?} {mode} {value}{degraded}")
+                        .expect("write to string");
+                }
+            }
+        }
+    };
+    arcs("qwm", &QwmEvaluator::default());
+    arcs("spice", &SpiceEvaluator::default());
+    arcs("elmore", &ElmoreEvaluator);
+    arcs("fallback", &FallbackEvaluator::default());
+    for (rung, sites) in LANDINGS {
+        qwm::fault::install(landing_plan(sites));
+        arcs(&format!("fallback@{rung}"), &FallbackEvaluator::default());
+        qwm::fault::clear();
+    }
+
+    let nl = inverter_chain(&tech, 3, 10e-15);
+    for (label, sites) in [("clean", &[][..]), LANDINGS[1]] {
+        qwm::fault::install(landing_plan(sites));
+        let engine = StaEngine::new(nl.clone(), &models, TransitionKind::Fall).expect("engine");
+        let arrivals = engine.run_waveform(&QwmConfig::default(), 30e-12);
+        qwm::fault::clear();
+        let (fall, rise) = arrivals.expect("waveform run");
+        for (direction, book) in [("Fall", &fall), ("Rise", &rise)] {
+            let mut nets: Vec<(&str, f64)> = book
+                .iter()
+                .map(|(&net, &t)| (engine.netlist().net_name(net), t))
+                .collect();
+            nets.sort_by(|a, b| a.0.cmp(b.0));
+            for (net, t) in nets {
+                writeln!(
+                    out,
+                    "waveform@{label} {net} {direction} {:016x}",
+                    t.to_bits()
+                )
+                .expect("write to string");
+            }
+        }
+        for d in engine.take_waveform_degradations() {
+            let degraded = render_degradations(std::slice::from_ref(&d));
+            writeln!(
+                out,
+                "waveform@{label} {} {:?}{degraded}",
+                d.output, d.direction
+            )
+            .expect("write to string");
+        }
+    }
+    out
+}
+
+/// Bit-for-bit pin of the arc measurement path: every evaluator's
+/// `delay` and `timing`, every rung of the fallback ladder, and
+/// `run_waveform`'s stimulus and rungs.
+#[test]
+fn arc_matrix_matches_golden() {
+    let _g = locked();
+    assert_matches_golden(&render_arcs(), GOLDEN_ARCS);
 }
 
 #[test]
