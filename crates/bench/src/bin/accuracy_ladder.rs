@@ -1,7 +1,6 @@
-//! The accuracy ladder: the paper's r = 1 evaluator, the refined
-//! (midpoint caps + adaptive splitting) variant, and the r = 2
-//! two-collocation model, all measured against the 1 ps baseline on the
-//! Table II workload.
+//! The accuracy ladder: the paper's r = 1 evaluator and the r = 2
+//! two-collocation model, both measured against the 1 ps baseline on
+//! the Table II workload.
 use qwm::core::evaluate::QwmConfig;
 use qwm_bench::{compare_fall_with, table2_workload, Bench, ComparisonRow};
 
@@ -9,7 +8,6 @@ fn main() {
     let bench = Bench::new();
     let ladder: Vec<(&str, QwmConfig)> = vec![
         ("r=1 (paper)", QwmConfig::default()),
-        ("refined", QwmConfig::refined()),
         ("r=2", QwmConfig::high_accuracy()),
     ];
     println!("Accuracy ladder over the Table II stacks (errors vs SPICE @ 1 ps):\n");

@@ -33,26 +33,6 @@ fn main() {
     }
     println!();
     print_summary(&rows);
-
-    println!(
-        "\nwith the refined evaluator (midpoint caps + adaptive splitting — beyond the paper):\n"
-    );
-    qwm_bench::print_table_header();
-    let mut refined = Vec::new();
-    for (name, stage) in &gates {
-        let row = qwm_bench::compare_fall_with(
-            &bench,
-            name,
-            stage,
-            20,
-            &qwm::core::evaluate::QwmConfig::refined(),
-        )
-        .expect("comparison");
-        print_row(&row);
-        refined.push(row);
-    }
-    println!();
-    print_summary(&refined);
     // Telemetry appendix (enabled via QWM_OBS=summary|json).
     qwm::obs::emit();
 }

@@ -16,26 +16,6 @@ fn main() {
     }
     println!();
     print_summary(&rows);
-
-    println!(
-        "\nwith the refined evaluator (midpoint caps + adaptive splitting — beyond the paper):\n"
-    );
-    qwm_bench::print_table_header();
-    let mut refined = Vec::new();
-    for (name, stage) in table2_workload(&bench) {
-        let row = qwm_bench::compare_fall_with(
-            &bench,
-            &name,
-            &stage,
-            10,
-            &qwm::core::evaluate::QwmConfig::refined(),
-        )
-        .expect("comparison");
-        print_row(&row);
-        refined.push(row);
-    }
-    println!();
-    print_summary(&refined);
     // Telemetry appendix (enabled via QWM_OBS=summary|json).
     qwm::obs::emit();
 }

@@ -107,7 +107,7 @@ pub fn compare_fall(
 }
 
 /// [`compare_fall`] with an explicit QWM configuration (used to contrast
-/// the paper-faithful evaluator against the refined extension).
+/// the paper-faithful evaluator against the r = 2 extension).
 ///
 /// # Errors
 ///

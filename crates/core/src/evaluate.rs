@@ -111,19 +111,9 @@ pub struct QwmConfig {
     /// re-evaluating per region (the paper's simplifying assumption 3;
     /// kept as an ablation switch).
     pub freeze_caps: bool,
-    /// Adaptive refinement (an extension along the paper's future-work
-    /// axis): before committing an output-crossing region, the
-    /// linear-current model is checked at the region midpoint against
-    /// the device models; a relative mismatch above this tolerance
-    /// splits the region at an intermediate level. `f64::INFINITY`
-    /// disables refinement (the paper's plain behaviour and the
-    /// default).
-    pub midpoint_tolerance: f64,
-    /// Minimum level separation for adaptive splits \[V\].
-    pub min_split: f64,
     /// Re-solve each committed region with capacitances evaluated at
     /// the mean of its endpoint voltages (one extra Newton solve per
-    /// region). Off by default; part of [`QwmConfig::refined`].
+    /// region). Off by default; part of [`QwmConfig::high_accuracy`].
     pub midpoint_caps: bool,
     /// Waveform parameters per node per region (the paper's `r`): 1 for
     /// the paper's piecewise-quadratic model, 2 for the two-collocation
@@ -146,8 +136,6 @@ impl Default for QwmConfig {
             dt_guesses: vec![2e-12, 10e-12, 50e-12, 250e-12, 1.25e-9],
             region: RegionOptions::default(),
             freeze_caps: false,
-            midpoint_tolerance: f64::INFINITY,
-            min_split: 0.15,
             midpoint_caps: false,
             waveform_order: 1,
             min_breakpoint_span: 0.25e-12,
@@ -156,18 +144,6 @@ impl Default for QwmConfig {
 }
 
 impl QwmConfig {
-    /// The accuracy-refined preset (an extension beyond the paper, per
-    /// its future-work note): midpoint-capacitance second passes plus
-    /// adaptive region splitting. Roughly halves the worst-case delay
-    /// error at ~2× the evaluation cost.
-    pub fn refined() -> Self {
-        QwmConfig {
-            midpoint_tolerance: 0.5,
-            midpoint_caps: true,
-            ..QwmConfig::default()
-        }
-    }
-
     /// The `r = 2` preset: two collocation points per region (the
     /// paper's higher-`r` variant) plus midpoint capacitances. Reaches
     /// near-baseline accuracy (sub-percent even on the method's worst
@@ -630,25 +606,6 @@ fn evaluate_with(
         })?;
         let sol = &mut *best;
 
-        // Adaptive refinement: if the winning region is an output
-        // crossing whose linear-current model disagrees with the device
-        // models at the region midpoint, split it at an intermediate
-        // level instead of committing.
-        if let CriticalPointKind::OutputCrossing(level) = kind {
-            let out_v = state.v[n - 1];
-            // The default tolerance is infinite, so gate the midpoint
-            // probe (a full device-model sweep) on a finite tolerance —
-            // otherwise the comparison can never fire.
-            if (out_v - level).abs() > config.min_split
-                && config.midpoint_tolerance.is_finite()
-                && midpoint_mismatch(&ctx, &state, sol)? > config.midpoint_tolerance
-                && regions + targets.len() + 2 < config.max_regions
-            {
-                targets.insert(0, 0.5 * (out_v + level));
-                continue;
-            }
-        }
-
         // Re-express the winning end condition (shared by the r = 2 and
         // midpoint-caps passes).
         let winning_cond = match kind {
@@ -673,7 +630,7 @@ fn evaluate_with(
             // Optional cap refinement: re-solve with capacitances at the
             // mean of the region's endpoint voltages. The committed
             // pieces must carry whichever caps the accepted solve used.
-            let refined = match (&first_pass, config.midpoint_caps && !config.freeze_caps) {
+            let recapped = match (&first_pass, config.midpoint_caps && !config.freeze_caps) {
                 (Ok(tp0), true) => {
                     let v_mid: Vec<f64> = state
                         .v
@@ -701,7 +658,7 @@ fn evaluate_with(
                 }
                 _ => None,
             };
-            let chosen = match refined {
+            let chosen = match recapped {
                 Some((tp, caps2)) => Ok((tp, caps2)),
                 None => first_pass.map(|tp| (tp, state.caps.clone())),
             };
@@ -868,31 +825,6 @@ fn evaluate_with(
         regions,
         elapsed: start.elapsed(),
     })
-}
-
-/// Relative disagreement between the committed linear-current model and
-/// the device models at the region midpoint (the adaptive-refinement
-/// oracle).
-fn midpoint_mismatch(
-    ctx: &ChainContext<'_>,
-    state: &RegionState,
-    sol: &RegionSolution,
-) -> Result<f64> {
-    let h = 0.5 * (sol.tau_next - state.tau);
-    let t_mid = state.tau + h;
-    let n = state.v.len();
-    let mut v_mid = vec![0.0; n];
-    let mut i_model = vec![0.0; n];
-    for k in 0..n {
-        v_mid[k] = state.v[k] + (state.i[k] * h + 0.5 * sol.alphas[k] * h * h) / state.caps[k];
-        i_model[k] = state.i[k] + sol.alphas[k] * h;
-    }
-    let i_dev = ctx.node_currents(&v_mid, t_mid)?;
-    // Only the monitored output node matters for the crossing time;
-    // internal nodes naturally slosh around turn-on events.
-    let k = n - 1;
-    let scale = i_dev[k].abs().max(i_model[k].abs()).max(1e-9);
-    Ok((i_model[k] - i_dev[k]).abs() / scale)
 }
 
 /// True when element `k`'s gate waveform is still slewing at time `t`

@@ -26,7 +26,9 @@
 //!   but descends the shared fallback-ladder driver
 //!   ([`crate::evaluator::descend`]).
 
-use crate::evaluator::{descend, failure_chain, Degradation, FallbackRung, Rung, StageEvaluator};
+use crate::evaluator::{
+    descend, failure_chain, stimulus, Degradation, FallbackRung, Rung, StageEvaluator, Switching,
+};
 use crate::graph::{StageGraph, StageId};
 use crate::incremental::{commit_eq, Flow, IncrementalStats};
 use qwm_circuit::netlist::{NetId, Netlist};
@@ -992,42 +994,18 @@ impl<'m> StaEngine<'m> {
                     };
                     // Sensitize the worst chain; gating inputs get the
                     // real driving waveform, others stay inactive.
-                    let Ok(chain) =
-                        qwm_core::chain::Chain::extract_worst(&part.stage, node, direction)
+                    let switching = Switching::Wave(&wf);
+                    let Ok((inputs, init, _, _)) =
+                        stimulus(&part.stage, self.models, node, direction, switching)
                     else {
                         continue;
                     };
-                    let gating = chain.gating_inputs();
-                    let inactive = match direction {
-                        TransitionKind::Fall => 0.0,
-                        TransitionKind::Rise => vdd,
-                    };
-                    let inputs: Vec<Waveform> = (0..part.stage.inputs().len())
-                        .map(|i| {
-                            if gating.contains(&qwm_circuit::InputId(i)) {
-                                wf.clone()
-                            } else {
-                                Waveform::constant_interned(inactive)
-                            }
-                        })
-                        .collect();
-                    let v_init = match direction {
-                        TransitionKind::Fall => vdd,
-                        TransitionKind::Rise => 0.0,
-                    };
-                    let init: Vec<f64> = (0..part.stage.node_count())
-                        .map(|i| match part.stage.node(qwm_circuit::NodeId(i)).kind {
-                            qwm_circuit::NodeKind::Supply => vdd,
-                            qwm_circuit::NodeKind::Ground => 0.0,
-                            qwm_circuit::NodeKind::Internal => v_init,
-                        })
-                        .collect();
                     // Fallback ladder: QWM → damped retry → adaptive →
                     // fixed-step transient. A rung succeeds when it
                     // yields a committed output waveform; exhausting
                     // every rung is a hard error, never a silently
                     // missing arc.
-                    let qwm_attempt = |cfg: &qwm_core::evaluate::QwmConfig| -> Result<Waveform> {
+                    let qwm_rung = |cfg: &qwm_core::evaluate::QwmConfig| -> Result<Waveform> {
                         let r = evaluate(
                             &part.stage,
                             self.models,
@@ -1039,18 +1017,18 @@ impl<'m> StaEngine<'m> {
                         )?;
                         r.output_waveform().to_waveform(2)
                     };
-                    let damped_attempt = |_| {
+                    let damped_rung = |_| {
                         let mut damped = config.clone();
                         damped.region.max_iterations *= 2;
                         damped.region.max_dv *= 0.5;
-                        qwm_attempt(&damped)
+                        qwm_rung(&damped)
                     };
                     // Transient rungs integrate well past the driver's
                     // 50 % crossing; dense samples are decimated so the
                     // downstream QWM stage is not flooded with promoted
                     // breakpoints.
                     let t_stop = t50 + 2e-9;
-                    let transient_attempt = |adaptive: bool| -> Result<Waveform> {
+                    let transient_rung = |adaptive: bool| -> Result<Waveform> {
                         let r = if adaptive {
                             qwm_spice::adaptive::simulate_adaptive(
                                 &part.stage,
@@ -1074,10 +1052,10 @@ impl<'m> StaEngine<'m> {
                         Waveform::from_samples(w.resample(t0, t1, 33)?)
                     };
                     let rungs: [Rung<'_, Waveform>; 4] = [
-                        (FallbackRung::Qwm, 1, &|_| qwm_attempt(config)),
-                        (FallbackRung::QwmRetry, 1, &damped_attempt),
-                        (FallbackRung::SpiceAdaptive, 1, &|_| transient_attempt(true)),
-                        (FallbackRung::SpiceFixed, 1, &|_| transient_attempt(false)),
+                        (FallbackRung::Qwm, 1, &|_| qwm_rung(config)),
+                        (FallbackRung::QwmRetry, 1, &damped_rung),
+                        (FallbackRung::SpiceAdaptive, 1, &|_| transient_rung(true)),
+                        (FallbackRung::SpiceFixed, 1, &|_| transient_rung(false)),
                     ];
                     let warn = |rung: FallbackRung, e: &NumError| {
                         qwm_obs::warn("sta.run_waveform.rung_failed")

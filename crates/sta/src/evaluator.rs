@@ -17,9 +17,14 @@
 //! → adaptive transient → fixed-step transient → Elmore bound until one
 //! rung produces an answer, recording a [`Degradation`] provenance for
 //! every arc that did not come from plain QWM.
+//!
+//! Every evaluator and every rung times an arc the same way: one
+//! sensitized `stimulus`, then one measure per engine — `qwm_arc` for
+//! QWM, `transient_arc` for either transient engine.
 
 use qwm_circuit::stage::{DeviceKind, LogicStage, NodeId, NodeKind};
 use qwm_circuit::waveform::{measure_transition, TimingMetrics, TransitionKind, Waveform};
+use qwm_core::chain::Chain;
 use qwm_core::evaluate::{evaluate, QwmConfig};
 use qwm_device::model::{Geometry, ModelSet, Polarity, TermVoltage};
 use qwm_num::{NumError, Result};
@@ -80,11 +85,77 @@ pub trait StageEvaluator: Send + Sync {
     }
 }
 
-/// Converts a 10–90 % slew into the equivalent full ramp duration and
-/// builds the sensitized stimulus with ramping switching inputs.
+/// How the switching inputs of a [`stimulus`] move.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Switching<'a> {
+    /// A linear ramp from `t = 0` with the given 10–90 % slew, or a step
+    /// at `t = 0` when `None`.
+    Slew(Option<f64>),
+    /// A given waveform (a driving stage's actual output).
+    Wave(&'a Waveform),
+}
+
+/// The one sensitized stimulus: only the inputs gating the worst chain
+/// of `output` switch, as `switching` says; every other input is held
+/// at its non-conducting value so side branches stay off (standard
+/// single-path sensitization for complex gates such as AOI). Internal
+/// nodes start precharged against the transition.
 ///
-/// Returns `(inputs, initial voltages, t_ref)` where `t_ref` is the
-/// switching inputs' 50 % instant.
+/// Returns `(inputs, initial voltages, t_ref, chain)`, where `t_ref` is
+/// the 50 % instant of a step (0) or ramp (half its full duration), and
+/// 0 for a given waveform.
+///
+/// # Errors
+///
+/// Propagates chain-extraction failures.
+pub(crate) fn stimulus(
+    stage: &LogicStage,
+    models: &ModelSet,
+    output: NodeId,
+    direction: TransitionKind,
+    switching: Switching<'_>,
+) -> Result<(Vec<Waveform>, Vec<f64>, f64, Chain)> {
+    let vdd = models.tech().vdd;
+    let chain = Chain::extract_worst(stage, output, direction)?;
+    let gating = chain.gating_inputs();
+    let (g0, g1, v_init) = match direction {
+        TransitionKind::Fall => (0.0, vdd, vdd),
+        TransitionKind::Rise => (vdd, 0.0, 0.0),
+    };
+    // Interned constructors: identical-slew arcs across the netlist
+    // share one parsed piecewise input instead of re-allocating it
+    // per arc (DESIGN.md §16).
+    let (active, t_ref) = match switching {
+        Switching::Slew(None) => (Waveform::step_interned(0.0, g0, g1), 0.0),
+        Switching::Slew(Some(input_slew)) => {
+            // 10–90 % covers 80 % of the swing: full ramp = slew / 0.8.
+            let ramp = (input_slew / 0.8).max(1e-12);
+            (Waveform::ramp_interned(0.0, ramp, g0, g1), 0.5 * ramp)
+        }
+        Switching::Wave(w) => (w.clone(), 0.0),
+    };
+    let inputs: Vec<Waveform> = (0..stage.inputs().len())
+        .map(|i| {
+            if gating.contains(&qwm_circuit::InputId(i)) {
+                active.clone()
+            } else {
+                Waveform::constant_interned(g0)
+            }
+        })
+        .collect();
+    let init: Vec<f64> = (0..stage.node_count())
+        .map(|i| match stage.node(NodeId(i)).kind {
+            NodeKind::Supply => vdd,
+            NodeKind::Ground => 0.0,
+            NodeKind::Internal => v_init,
+        })
+        .collect();
+    Ok((inputs, init, t_ref, chain))
+}
+
+/// The sensitized stimulus with ramping switching inputs of 10–90 %
+/// `input_slew`. Returns `(inputs, initial voltages, t_ref)` where
+/// `t_ref` is the switching inputs' 50 % instant.
 ///
 /// # Errors
 ///
@@ -96,66 +167,14 @@ pub fn sensitized_setup_with_slew(
     direction: TransitionKind,
     input_slew: f64,
 ) -> Result<(Vec<Waveform>, Vec<f64>, f64)> {
-    let vdd = models.tech().vdd;
-    let chain = qwm_core::chain::Chain::extract_worst(stage, output, direction)?;
-    let gating = chain.gating_inputs();
-    let (g0, g1, v_init) = match direction {
-        TransitionKind::Fall => (0.0, vdd, vdd),
-        TransitionKind::Rise => (vdd, 0.0, 0.0),
-    };
-    // 10–90 % covers 80 % of the swing: full ramp = slew / 0.8.
-    let ramp = (input_slew / 0.8).max(1e-12);
-    // Interned constructors: identical-slew arcs across the netlist
-    // share one parsed piecewise input instead of re-allocating it
-    // per arc (DESIGN.md §16).
-    let inputs: Vec<Waveform> = (0..stage.inputs().len())
-        .map(|i| {
-            if gating.contains(&qwm_circuit::InputId(i)) {
-                Waveform::ramp_interned(0.0, ramp, g0, g1)
-            } else {
-                Waveform::constant_interned(g0)
-            }
-        })
-        .collect();
-    let init: Vec<f64> = (0..stage.node_count())
-        .map(|i| match stage.node(NodeId(i)).kind {
-            NodeKind::Supply => vdd,
-            NodeKind::Ground => 0.0,
-            NodeKind::Internal => v_init,
-        })
-        .collect();
-    Ok((inputs, init, 0.5 * ramp))
+    let switching = Switching::Slew(Some(input_slew));
+    let (inputs, init, t_ref, _) = stimulus(stage, models, output, direction, switching)?;
+    Ok((inputs, init, t_ref))
 }
 
-/// Canonical worst-case stimulus: every input steps at `t = 0` in the
-/// direction that activates the conduction network, and internal nodes
-/// start precharged against the transition.
-pub fn worst_case_setup(
-    stage: &LogicStage,
-    models: &ModelSet,
-    direction: TransitionKind,
-) -> (Vec<Waveform>, Vec<f64>) {
-    let vdd = models.tech().vdd;
-    let (g0, g1, v_init) = match direction {
-        TransitionKind::Fall => (0.0, vdd, vdd),
-        TransitionKind::Rise => (vdd, 0.0, 0.0),
-    };
-    let inputs = vec![Waveform::step_interned(0.0, g0, g1); stage.inputs().len()];
-    let init: Vec<f64> = (0..stage.node_count())
-        .map(|i| match stage.node(NodeId(i)).kind {
-            NodeKind::Supply => vdd,
-            NodeKind::Ground => 0.0,
-            NodeKind::Internal => v_init,
-        })
-        .collect();
-    (inputs, init)
-}
-
-/// Path-sensitized worst-case stimulus: only the inputs gating the
-/// worst chain switch; every other input is held at its non-conducting
-/// value so side branches stay off (standard single-path sensitization
-/// for complex gates such as AOI). Returns the stimulus and the
-/// extracted chain.
+/// The sensitized stimulus with stepping switching inputs: only the
+/// inputs gating the worst chain switch, the rest are held inactive.
+/// Returns the stimulus and the extracted chain.
 ///
 /// # Errors
 ///
@@ -165,31 +184,89 @@ pub fn sensitized_setup(
     models: &ModelSet,
     output: NodeId,
     direction: TransitionKind,
-) -> Result<(Vec<Waveform>, Vec<f64>, qwm_core::chain::Chain)> {
-    let vdd = models.tech().vdd;
-    let chain = qwm_core::chain::Chain::extract_worst(stage, output, direction)?;
-    let gating = chain.gating_inputs();
-    let (g0, g1, v_init) = match direction {
-        TransitionKind::Fall => (0.0, vdd, vdd),
-        TransitionKind::Rise => (vdd, 0.0, 0.0),
-    };
-    let inputs: Vec<Waveform> = (0..stage.inputs().len())
-        .map(|i| {
-            if gating.contains(&qwm_circuit::InputId(i)) {
-                Waveform::step_interned(0.0, g0, g1)
-            } else {
-                Waveform::constant_interned(g0)
-            }
-        })
-        .collect();
-    let init: Vec<f64> = (0..stage.node_count())
-        .map(|i| match stage.node(NodeId(i)).kind {
-            NodeKind::Supply => vdd,
-            NodeKind::Ground => 0.0,
-            NodeKind::Internal => v_init,
-        })
-        .collect();
+) -> Result<(Vec<Waveform>, Vec<f64>, Chain)> {
+    let switching = Switching::Slew(None);
+    let (inputs, init, _, chain) = stimulus(stage, models, output, direction, switching)?;
     Ok((inputs, init, chain))
+}
+
+/// One QWM arc under `config`: the 50 % delay from `t_ref` and, when
+/// slew-aware, the output's 10–90 % slew (0 otherwise).
+fn qwm_arc(
+    config: &QwmConfig,
+    stage: &LogicStage,
+    models: &ModelSet,
+    output: NodeId,
+    direction: TransitionKind,
+    input_slew: Option<f64>,
+) -> Result<TimingMetrics> {
+    let vdd = models.tech().vdd;
+    let switching = Switching::Slew(input_slew);
+    let (inputs, init, t_ref, _) = stimulus(stage, models, output, direction, switching)?;
+    let r = evaluate(stage, models, &inputs, &init, output, direction, config)?;
+    let unreached = |levels: &str| NumError::InvalidInput {
+        context: "qwm arc",
+        detail: format!("output never crossed {levels}"),
+    };
+    let delay = r.delay_50(vdd, t_ref).ok_or_else(|| unreached("50%"))?;
+    let slew = match input_slew {
+        Some(_) => r.slew(vdd).ok_or_else(|| unreached("10/90%"))?,
+        None => 0.0,
+    };
+    Ok(TimingMetrics { delay, slew })
+}
+
+/// Starting horizon of every transient arc \[s\].
+const TRANSIENT_HORIZON: f64 = 2e-9;
+
+/// One transient arc on the fixed-step engine, or the adaptive one
+/// seeded from the same `config`: integrates, measures, and grows
+/// `t_stop` ×4 (up to six runs) until the levels are captured — the
+/// 50 % crossing, or with `input_slew` the delay from `t_ref` and the
+/// 10–90 % slew.
+fn transient_arc(
+    adaptive: bool,
+    mut config: TransientConfig,
+    stage: &LogicStage,
+    models: &ModelSet,
+    output: NodeId,
+    direction: TransitionKind,
+    input_slew: Option<f64>,
+) -> Result<TimingMetrics> {
+    let vdd = models.tech().vdd;
+    let switching = Switching::Slew(input_slew);
+    let (inputs, init, t_ref, _) = stimulus(stage, models, output, direction, switching)?;
+    for _ in 0..6 {
+        let result = if adaptive {
+            let cfg = AdaptiveConfig {
+                base: config,
+                ..AdaptiveConfig::new(config.t_stop)
+            };
+            simulate_adaptive(stage, models, &inputs, &init, &cfg)?
+        } else {
+            simulate(stage, models, &inputs, &init, &config)?
+        };
+        let w = result.waveform(output)?;
+        let measured = match input_slew {
+            Some(_) => measure_transition(&w, direction, t_ref, vdd).ok(),
+            None => w
+                .crossing(vdd / 2.0, direction == TransitionKind::Rise)
+                .map(|delay| TimingMetrics { delay, slew: 0.0 }),
+        };
+        if let Some(m) = measured {
+            return Ok(m);
+        }
+        config.t_stop *= 4.0;
+    }
+    Err(NumError::NoConvergence {
+        method: if adaptive {
+            "adaptive transient arc (levels unreached)"
+        } else {
+            "fixed-step transient arc (levels unreached)"
+        },
+        iterations: 6,
+        residual: config.t_stop,
+    })
 }
 
 /// QWM-backed evaluator (the paper's configuration).
@@ -212,21 +289,7 @@ impl StageEvaluator for QwmEvaluator {
         direction: TransitionKind,
     ) -> Result<f64> {
         let _span = qwm_obs::span!("sta.eval.qwm");
-        let (inputs, init, _chain) = sensitized_setup(stage, models, output, direction)?;
-        let r = evaluate(
-            stage,
-            models,
-            &inputs,
-            &init,
-            output,
-            direction,
-            &self.config,
-        )?;
-        r.delay_50(models.tech().vdd, 0.0)
-            .ok_or(NumError::InvalidInput {
-                context: "QwmEvaluator::delay",
-                detail: "output never crossed 50%".to_string(),
-            })
+        qwm_arc(&self.config, stage, models, output, direction, None).map(|m| m.delay)
     }
 
     fn timing(
@@ -238,27 +301,8 @@ impl StageEvaluator for QwmEvaluator {
         input_slew: f64,
     ) -> Result<TimingMetrics> {
         let _span = qwm_obs::span!("sta.eval.qwm");
-        let vdd = models.tech().vdd;
-        let (inputs, init, t_ref) =
-            sensitized_setup_with_slew(stage, models, output, direction, input_slew)?;
-        let r = evaluate(
-            stage,
-            models,
-            &inputs,
-            &init,
-            output,
-            direction,
-            &self.config,
-        )?;
-        let delay = r.delay_50(vdd, t_ref).ok_or(NumError::InvalidInput {
-            context: "QwmEvaluator::timing",
-            detail: "output never crossed 50%".to_string(),
-        })?;
-        let slew = r.slew(vdd).ok_or(NumError::InvalidInput {
-            context: "QwmEvaluator::timing",
-            detail: "output never crossed 10/90%".to_string(),
-        })?;
-        Ok(TimingMetrics { delay, slew })
+        let slew = Some(input_slew);
+        qwm_arc(&self.config, stage, models, output, direction, slew)
     }
 }
 
@@ -312,7 +356,7 @@ impl StageEvaluator for ElmoreEvaluator {
         if let Some(e) = qwm_fault::check("sta.elmore") {
             return Err(e);
         }
-        let chain = qwm_core::chain::Chain::extract_worst(stage, output, direction)?;
+        let chain = Chain::extract_worst(stage, output, direction)?;
         let vdd = models.tech().vdd;
         // RC ladder: resistor k from the chain, cap at each chain node
         // evaluated at mid-swing.
@@ -338,7 +382,7 @@ pub struct SpiceEvaluator {
 impl Default for SpiceEvaluator {
     fn default() -> Self {
         SpiceEvaluator {
-            config: TransientConfig::hspice_1ps(2e-9),
+            config: TransientConfig::hspice_1ps(TRANSIENT_HORIZON),
         }
     }
 }
@@ -356,23 +400,7 @@ impl StageEvaluator for SpiceEvaluator {
         direction: TransitionKind,
     ) -> Result<f64> {
         let _span = qwm_obs::span!("sta.eval.spice");
-        let (inputs, init, _chain) = sensitized_setup(stage, models, output, direction)?;
-        let vdd = models.tech().vdd;
-        let mut cfg = self.config;
-        for _ in 0..6 {
-            let r = simulate(stage, models, &inputs, &init, &cfg)?;
-            let w = r.waveform(output)?;
-            let falling = direction == TransitionKind::Fall;
-            if let Some(t) = w.crossing(vdd / 2.0, !falling) {
-                return Ok(t);
-            }
-            cfg.t_stop *= 4.0;
-        }
-        Err(NumError::NoConvergence {
-            method: "SpiceEvaluator::delay (no 50% crossing)",
-            iterations: 6,
-            residual: cfg.t_stop,
-        })
+        transient_arc(false, self.config, stage, models, output, direction, None).map(|m| m.delay)
     }
 
     fn timing(
@@ -384,23 +412,8 @@ impl StageEvaluator for SpiceEvaluator {
         input_slew: f64,
     ) -> Result<TimingMetrics> {
         let _span = qwm_obs::span!("sta.eval.spice");
-        let vdd = models.tech().vdd;
-        let (inputs, init, t_ref) =
-            sensitized_setup_with_slew(stage, models, output, direction, input_slew)?;
-        let mut cfg = self.config;
-        for _ in 0..6 {
-            let r = simulate(stage, models, &inputs, &init, &cfg)?;
-            let w = r.waveform(output)?;
-            if let Ok(m) = measure_transition(&w, direction, t_ref, vdd) {
-                return Ok(m);
-            }
-            cfg.t_stop *= 4.0;
-        }
-        Err(NumError::NoConvergence {
-            method: "SpiceEvaluator::timing (levels unreached)",
-            iterations: 6,
-            residual: cfg.t_stop,
-        })
+        let slew = Some(input_slew);
+        transient_arc(false, self.config, stage, models, output, direction, slew)
     }
 }
 
@@ -496,180 +509,89 @@ impl Default for FallbackBudget {
 /// produced by plain QWM. Exhausting all rungs is a hard error carrying
 /// the full failure chain — never a silently missing arc.
 ///
-/// The QWM retry rung re-enters the same solver code; the fault site it
-/// sees is scope-qualified as `"retry/qwm.region"` so fault plans can
-/// fail the first attempt and the retry independently.
+/// Only the [`FallbackBudget`] is configurable; the rungs run the
+/// defaults of [`QwmEvaluator`] and [`SpiceEvaluator`]. The QWM retry
+/// rung re-enters the same solver code; the fault site it sees is
+/// scope-qualified as `"retry/qwm.region"` so fault plans can fail the
+/// first attempt and the retry independently.
 #[derive(Debug, Default)]
 pub struct FallbackEvaluator {
-    /// First-rung QWM configuration.
-    pub qwm: QwmConfig,
-    /// Adaptive-transient rung configuration (`t_stop` grows ×4 until
-    /// the crossing is captured, as in [`SpiceEvaluator`]).
-    pub adaptive: FallbackAdaptive,
-    /// Fixed-step rung configuration.
-    pub spice: FallbackSpice,
     /// Retry/wall budgets.
     pub budget: FallbackBudget,
     degradations: Mutex<Vec<Degradation>>,
 }
 
-/// Newtype holding the adaptive rung's config so `Default` can pick the
-/// same 2 ns horizon as [`SpiceEvaluator`].
-#[derive(Debug, Clone)]
-pub struct FallbackAdaptive(pub AdaptiveConfig);
-
-impl Default for FallbackAdaptive {
-    fn default() -> Self {
-        FallbackAdaptive(AdaptiveConfig::new(2e-9))
+/// Damped/perturbed QWM configuration for retry `attempt`: doubled
+/// iteration budget, halved per-iteration voltage clamp, and
+/// region-span seeds scaled by a per-attempt factor so each retry
+/// explores different Newton seeds than the failed attempt.
+fn damped_qwm(attempt: usize) -> QwmConfig {
+    let mut cfg = QwmConfig::default();
+    cfg.region.max_iterations *= 2;
+    cfg.region.max_dv *= 0.5;
+    let scale = match attempt % 3 {
+        0 => 0.33,
+        1 => 3.0,
+        _ => 0.1,
+    };
+    for g in &mut cfg.dt_guesses {
+        *g *= scale;
     }
-}
-
-/// Newtype holding the fixed-step rung's config (2 ns, 1 ps steps).
-#[derive(Debug, Clone)]
-pub struct FallbackSpice(pub TransientConfig);
-
-impl Default for FallbackSpice {
-    fn default() -> Self {
-        FallbackSpice(TransientConfig::hspice_1ps(2e-9))
-    }
+    cfg
 }
 
 impl FallbackEvaluator {
-    /// Damped/perturbed QWM configuration for retry `attempt`: doubled
-    /// iteration budget, halved per-iteration voltage clamp, and
-    /// region-span seeds scaled by a per-attempt factor so each retry
-    /// explores different Newton seeds than the failed attempt.
-    fn damped_qwm(&self, attempt: usize) -> QwmConfig {
-        let mut cfg = self.qwm.clone();
-        cfg.region.max_iterations *= 2;
-        cfg.region.max_dv *= 0.5;
-        let scale = match attempt % 3 {
-            0 => 0.33,
-            1 => 3.0,
-            _ => 0.1,
-        };
-        for g in &mut cfg.dt_guesses {
-            *g *= scale;
-        }
-        cfg
-    }
-
-    fn qwm_attempt(
+    /// The ladder: [`descend`]s QWM → damped retries → adaptive →
+    /// fixed-step → Elmore bound; the first success is committed with
+    /// its provenance, and exhaustion of all rungs is a hard error
+    /// carrying the full failure chain.
+    fn ladder(
         &self,
-        cfg: &QwmConfig,
         stage: &LogicStage,
         models: &ModelSet,
         output: NodeId,
         direction: TransitionKind,
         input_slew: Option<f64>,
     ) -> Result<TimingMetrics> {
-        let vdd = models.tech().vdd;
-        match input_slew {
-            Some(s) => {
-                let (inputs, init, t_ref) =
-                    sensitized_setup_with_slew(stage, models, output, direction, s)?;
-                let r = evaluate(stage, models, &inputs, &init, output, direction, cfg)?;
-                let delay = r.delay_50(vdd, t_ref).ok_or(NumError::InvalidInput {
-                    context: "FallbackEvaluator qwm rung",
-                    detail: "output never crossed 50%".to_string(),
-                })?;
-                let slew = r.slew(vdd).ok_or(NumError::InvalidInput {
-                    context: "FallbackEvaluator qwm rung",
-                    detail: "output never crossed 10/90%".to_string(),
-                })?;
-                Ok(TimingMetrics { delay, slew })
-            }
-            None => {
-                let (inputs, init, _chain) = sensitized_setup(stage, models, output, direction)?;
-                let r = evaluate(stage, models, &inputs, &init, output, direction, cfg)?;
-                let delay = r.delay_50(vdd, 0.0).ok_or(NumError::InvalidInput {
-                    context: "FallbackEvaluator qwm rung",
-                    detail: "output never crossed 50%".to_string(),
-                })?;
-                Ok(TimingMetrics { delay, slew: 0.0 })
-            }
-        }
-    }
-
-    /// Measures delay (and slew, when slew-aware) off a transient
-    /// waveform; `None` when the required levels are not yet reached.
-    fn measure(
-        w: &Waveform,
-        direction: TransitionKind,
-        t_ref: f64,
-        vdd: f64,
-        want_slew: bool,
-    ) -> Option<TimingMetrics> {
-        if want_slew {
-            measure_transition(w, direction, t_ref, vdd).ok()
-        } else {
-            let falling = direction == TransitionKind::Fall;
-            w.crossing(vdd / 2.0, !falling).map(|t| TimingMetrics {
-                delay: t,
-                slew: 0.0,
-            })
-        }
-    }
-
-    fn spice_attempt(
-        &self,
-        adaptive: bool,
-        stage: &LogicStage,
-        models: &ModelSet,
-        output: NodeId,
-        direction: TransitionKind,
-        input_slew: Option<f64>,
-    ) -> Result<TimingMetrics> {
-        let vdd = models.tech().vdd;
-        let (inputs, init, t_ref) = match input_slew {
-            Some(s) => sensitized_setup_with_slew(stage, models, output, direction, s)?,
-            None => {
-                let (inputs, init, _chain) = sensitized_setup(stage, models, output, direction)?;
-                (inputs, init, 0.0)
-            }
+        let _span = qwm_obs::span!("sta.eval.fallback");
+        let output_name = stage.node_name(output).to_string();
+        let qwm = |cfg: &QwmConfig| qwm_arc(cfg, stage, models, output, direction, input_slew);
+        let transient = |adaptive| {
+            let config = TransientConfig::hspice_1ps(TRANSIENT_HORIZON);
+            transient_arc(
+                adaptive, config, stage, models, output, direction, input_slew,
+            )
         };
-        let want_slew = input_slew.is_some();
-        if adaptive {
-            let mut cfg = self.adaptive.0;
-            for _ in 0..6 {
-                let r = simulate_adaptive(stage, models, &inputs, &init, &cfg)?;
-                let w = r.waveform(output)?;
-                if let Some(m) = Self::measure(&w, direction, t_ref, vdd, want_slew) {
-                    return Ok(m);
-                }
-                cfg.base.t_stop *= 4.0;
-            }
-            Err(NumError::NoConvergence {
-                method: "FallbackEvaluator adaptive rung (levels unreached)",
-                iterations: 6,
-                residual: cfg.base.t_stop,
-            })
-        } else {
-            let mut cfg = self.spice.0;
-            for _ in 0..6 {
-                let r = simulate(stage, models, &inputs, &init, &cfg)?;
-                let w = r.waveform(output)?;
-                if let Some(m) = Self::measure(&w, direction, t_ref, vdd, want_slew) {
-                    return Ok(m);
-                }
-                cfg.t_stop *= 4.0;
-            }
-            Err(NumError::NoConvergence {
-                method: "FallbackEvaluator fixed-step rung (levels unreached)",
-                iterations: 6,
-                residual: cfg.t_stop,
-            })
-        }
-    }
-
-    fn land(
-        &self,
-        landed: FallbackRung,
-        failures: Vec<RungFailure>,
-        output_name: &str,
-        direction: TransitionKind,
-        metrics: TimingMetrics,
-    ) -> Result<TimingMetrics> {
+        // The Elmore bound is cheap and always attempted, even when the
+        // wall budget is spent — better a crude bound than no arc.
+        let elmore = |_| {
+            let delay = ElmoreEvaluator.delay(stage, models, output, direction)?;
+            Ok(TimingMetrics { delay, slew: 0.0 })
+        };
+        let rungs: [Rung<'_, TimingMetrics>; 5] = [
+            (FallbackRung::Qwm, 1, &|_| qwm(&QwmConfig::default())),
+            (FallbackRung::QwmRetry, self.budget.qwm_retries, &|i| {
+                qwm(&damped_qwm(i))
+            }),
+            (FallbackRung::SpiceAdaptive, 1, &|_| transient(true)),
+            (FallbackRung::SpiceFixed, 1, &|_| transient(false)),
+            (FallbackRung::ElmoreBound, 1, &elmore),
+        ];
+        let warn = |rung: FallbackRung, err: &NumError| {
+            qwm_obs::warn("fallback.rung_failed")
+                .field("output", &output_name)
+                .field("rung", rung.name())
+                .field("error", err)
+                .emit();
+        };
+        let (answer, failures) = descend(&rungs, self.budget.stage_wall, &warn);
+        let Some((landed, metrics)) = answer else {
+            qwm_obs::counter!("fallback.ladder.exhausted").incr();
+            return Err(NumError::InvalidInput {
+                context: "FallbackEvaluator: all rungs failed",
+                detail: format!("output {output_name}: {}", failure_chain(&failures)),
+            });
+        };
         match landed {
             FallbackRung::Qwm => qwm_obs::counter!("fallback.rung.qwm").incr(),
             FallbackRung::QwmRetry => qwm_obs::counter!("fallback.rung.qwm_retry").incr(),
@@ -685,68 +607,13 @@ impl FallbackEvaluator {
         if landed != FallbackRung::Qwm {
             let mut book = self.degradations.lock().expect("fallback degradations");
             book.push(Degradation {
-                output: output_name.to_string(),
+                output: output_name,
                 direction,
                 landed,
                 failures,
             });
         }
         Ok(metrics)
-    }
-
-    /// The ladder: [`descend`]s QWM → damped retries → adaptive →
-    /// fixed-step → Elmore bound; the first success is committed with
-    /// its provenance, and exhaustion of all rungs is a hard error
-    /// carrying the full failure chain.
-    fn ladder(
-        &self,
-        stage: &LogicStage,
-        models: &ModelSet,
-        output: NodeId,
-        direction: TransitionKind,
-        input_slew: Option<f64>,
-    ) -> Result<TimingMetrics> {
-        let _span = qwm_obs::span!("sta.eval.fallback");
-        let output_name = stage.node_name(output).to_string();
-        let qwm =
-            |cfg: &QwmConfig| self.qwm_attempt(cfg, stage, models, output, direction, input_slew);
-        let spice =
-            |adaptive| self.spice_attempt(adaptive, stage, models, output, direction, input_slew);
-        // The Elmore bound is cheap and always attempted, even when the
-        // wall budget is spent — better a crude bound than no arc.
-        let elmore = |_| {
-            let delay = ElmoreEvaluator.delay(stage, models, output, direction)?;
-            Ok(TimingMetrics { delay, slew: 0.0 })
-        };
-        let retries = self.budget.qwm_retries;
-        let rungs: [Rung<'_, TimingMetrics>; 5] = [
-            (FallbackRung::Qwm, 1, &|_| qwm(&self.qwm)),
-            (FallbackRung::QwmRetry, retries, &|i| {
-                qwm(&self.damped_qwm(i))
-            }),
-            (FallbackRung::SpiceAdaptive, 1, &|_| spice(true)),
-            (FallbackRung::SpiceFixed, 1, &|_| spice(false)),
-            (FallbackRung::ElmoreBound, 1, &elmore),
-        ];
-        let warn = |rung: FallbackRung, err: &NumError| {
-            qwm_obs::warn("fallback.rung_failed")
-                .field("output", &output_name)
-                .field("rung", rung.name())
-                .field("error", err)
-                .emit();
-        };
-        match descend(&rungs, self.budget.stage_wall, &warn) {
-            (Some((landed, m)), failures) => {
-                self.land(landed, failures, &output_name, direction, m)
-            }
-            (None, failures) => {
-                qwm_obs::counter!("fallback.ladder.exhausted").incr();
-                Err(NumError::InvalidInput {
-                    context: "FallbackEvaluator: all rungs failed",
-                    detail: format!("output {output_name}: {}", failure_chain(&failures)),
-                })
-            }
-        }
     }
 }
 
@@ -971,14 +838,30 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_setup_shapes() {
+    fn stimulus_shapes() {
+        // AOI21 fall: the worst chain is the series a·b pull-down, so
+        // `c` is held low while the gating inputs switch.
         let (tech, models) = setup();
-        let g = cells::nand(&tech, 2, cells::DEFAULT_LOAD).unwrap();
-        let (inputs, init) = worst_case_setup(&g, &models, TransitionKind::Fall);
-        assert_eq!(inputs.len(), 2);
-        assert_eq!(init.len(), g.node_count());
-        assert_eq!(inputs[0].final_value(), tech.vdd);
+        let g = cells::aoi21(&tech, cells::DEFAULT_LOAD).unwrap();
         let out = g.node_by_name("out").unwrap();
+        let fall = TransitionKind::Fall;
+        let (inputs, init, t_ref, chain) =
+            stimulus(&g, &models, out, fall, Switching::Slew(Some(40e-12))).unwrap();
+        assert_eq!(inputs.len(), g.inputs().len());
+        assert_eq!(init.len(), g.node_count());
         assert_eq!(init[out.0], tech.vdd);
+        assert_eq!(t_ref, 0.5 * (40e-12 / 0.8));
+        let gating = chain.gating_inputs();
+        assert!(gating.len() < inputs.len(), "a side input is held");
+        for (i, w) in inputs.iter().enumerate() {
+            let on = gating.contains(&qwm_circuit::InputId(i));
+            assert_eq!(w.final_value(), if on { tech.vdd } else { 0.0 });
+        }
+        // A given waveform drives the gating inputs as is.
+        let wave = Waveform::ramp(5e-12, 30e-12, 0.0, tech.vdd);
+        let (inputs, _, t_ref, _) =
+            stimulus(&g, &models, out, fall, Switching::Wave(&wave)).unwrap();
+        assert_eq!(inputs[gating[0].0], wave);
+        assert_eq!(t_ref, 0.0);
     }
 }

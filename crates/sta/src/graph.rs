@@ -49,8 +49,9 @@ impl StageGraph {
     /// Propagates partitioning failures; returns
     /// [`NumError::InvalidInput`] if a stage gates one of its own
     /// devices with one of its own output nets (a diode-connected
-    /// device, say) or if the stage graph is cyclic (latch loops are out
-    /// of scope for static timing).
+    /// device, say), if a gate net is neither a rail, nor driven by a
+    /// stage, nor a declared primary input, or if the stage graph is
+    /// cyclic (latch loops are out of scope for static timing).
     pub fn build(netlist: &Netlist) -> Result<Self> {
         let partitions = partition(netlist)?;
         let nets = netlist.net_count();
@@ -64,19 +65,32 @@ impl StageGraph {
                 users_at[net.0 + 1] += 1;
             }
         }
+        let mut declared = vec![false; nets];
+        for &net in netlist.primary_inputs() {
+            declared[net.0] = true;
+        }
         // A net has one driving stage, so `driver[g] == i` is exactly
-        // "g is among stage i's outputs".
+        // "g is among stage i's outputs". Any other gate net must be a
+        // rail, driven by a stage, or a declared primary input.
         for (i, p) in partitions.iter().enumerate() {
-            let self_gated = p.device_indices.iter().find_map(|&d| {
+            let bad_gate = p.device_indices.iter().find_map(|&d| {
                 let device = &netlist.devices()[d];
-                let gate = device.gate.filter(|g| driver[g.0] == i as u32)?;
-                Some((device, gate))
+                let gate = device.gate?;
+                let why = match driver[gate.0] {
+                    s if s == i as u32 => ("its own output net", "self-loop"),
+                    NONE if !declared[gate.0] && !netlist.is_rail(gate) => (
+                        "undriven net",
+                        "no stage drives it and it is not declared .input",
+                    ),
+                    _ => return None,
+                };
+                Some((device, gate, why))
             });
-            if let Some((device, gate)) = self_gated {
+            if let Some((device, gate, (what, note))) = bad_gate {
                 return Err(NumError::InvalidInput {
                     context: "StageGraph::build",
                     detail: format!(
-                        "{} is gated by its own output net {} at device {} (self-loop)",
+                        "{} is gated by {what} {} at device {} ({note})",
                         p.stage.name(),
                         netlist.net_name(gate),
                         device.name
@@ -458,6 +472,34 @@ mod tests {
                 "{e}"
             );
         }
+    }
+
+    #[test]
+    fn undriven_gate_net_rejected() {
+        use qwm_circuit::stage::DeviceKind;
+        use qwm_device::model::Geometry;
+        let tech = Technology::cmosp35();
+        let gn = Geometry::new(tech.w_min, tech.l_min);
+        let gp = Geometry::new(2.0 * tech.w_min, tech.l_min);
+        // An inverter chain whose second stage is gated by `b`, which no
+        // stage drives and no `.input` declares.
+        let mut nl = Netlist::new();
+        let (vdd, gnd) = (nl.vdd(), nl.gnd());
+        let (a, b, y, z) = (nl.net("a"), nl.net("b"), nl.net("y"), nl.net("z"));
+        nl.add_transistor("MP1", DeviceKind::Pmos, a, vdd, y, gp);
+        nl.add_transistor("MN1", DeviceKind::Nmos, a, y, gnd, gn);
+        nl.add_transistor("MP2", DeviceKind::Pmos, b, vdd, z, gp);
+        nl.add_transistor("MN2", DeviceKind::Nmos, b, z, gnd, gn);
+        nl.add_primary_input(a);
+        nl.add_primary_output(z);
+        let e = StageGraph::build(&nl).unwrap_err().to_string();
+        assert!(
+            e.contains("undriven net b ") && e.contains("device MP2 "),
+            "{e}"
+        );
+        // Declaring it an input makes it a primary input like `a`.
+        nl.add_primary_input(b);
+        assert_eq!(StageGraph::build(&nl).unwrap().len(), 2);
     }
 
     #[test]

@@ -19,6 +19,17 @@ stage "cargo build --release (workspace + qwm-bench)"
 cargo build --release
 cargo build --release -p qwm-bench
 
+# Paper gate: every table / figure bin behind EXPERIMENTS.md runs to
+# completion and prints something (the numbers are still read by hand).
+stage "paper bins (target/release)"
+for bin in table1 table2 fig5 fig7 fig8 fig9 fig10 variation \
+    accuracy_ladder solver_ablation; do
+    "./target/release/$bin" > "target/paper_$bin.out" ||
+        { echo "paper bin $bin failed" >&2; exit 1; }
+    test -s "target/paper_$bin.out" ||
+        { echo "paper bin $bin printed nothing" >&2; exit 1; }
+done
+
 stage "cargo test -q"
 cargo test -q
 

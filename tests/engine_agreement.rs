@@ -199,18 +199,17 @@ fn random_stack_delay_error_is_bounded() {
             err < 0.10,
             "plain: widths {widths:?} qwm {dq:.3e} spice {ds:.3e} err {err:.3}"
         );
-        // The refined evaluator bounds those worst cases much tighter.
-        let (dq_r, _) = fall_delay_pair_with(
-            &tech,
-            &spice_models,
-            &spice_models,
-            &stack,
-            &QwmConfig::refined(),
-        );
-        let err_r = (dq_r - ds).abs() / ds;
+        // Midpoint capacitances bound those worst cases much tighter.
+        let midpoint_caps = QwmConfig {
+            midpoint_caps: true,
+            ..QwmConfig::default()
+        };
+        let (dq_m, _) =
+            fall_delay_pair_with(&tech, &spice_models, &spice_models, &stack, &midpoint_caps);
+        let err_m = (dq_m - ds).abs() / ds;
         assert!(
-            err_r < 0.04,
-            "refined: widths {widths:?} qwm {dq_r:.3e} spice {ds:.3e} err {err_r:.3}"
+            err_m < 0.04,
+            "midpoint caps: widths {widths:?} qwm {dq_m:.3e} spice {ds:.3e} err {err_m:.3}"
         );
     }
 }

@@ -389,6 +389,30 @@ fn self_gated_deck_is_refused_at_load() {
     stop(handle, join);
 }
 
+/// A gate net that no stage drives and no `.input` declares is refused
+/// at `load` with a 400 naming it, instead of being timed silently as a
+/// primary input.
+#[test]
+fn undriven_gate_net_is_refused_at_load() {
+    let _g = locked();
+    qwm::fault::clear();
+    let (handle, join) = start(ServerConfig::default());
+    let mut c = connect(&handle);
+    let deck = "MP1 y a vdd vdd pmos W=1u L=0.35u\n\
+                MN1 y a 0 0 nmos W=1u L=0.35u\n\
+                .output y\n.end\n";
+    let r = c.load("undriven", deck).unwrap();
+    assert_eq!(r.status, 400, "undriven gate net: {}", r.head);
+    assert!(
+        r.head.contains("undriven net a ") && r.head.contains("device MP1 "),
+        "the error names net and device: {}",
+        r.head
+    );
+    let declared = format!(".input a\n{deck}");
+    assert!(c.load("declared", &declared).unwrap().ok());
+    stop(handle, join);
+}
+
 #[test]
 fn traced_run_renders_full_span_tree_and_profile() {
     let _g = locked();
