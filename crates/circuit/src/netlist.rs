@@ -9,7 +9,7 @@
 //! connectivity.
 //!
 //! Storage is flat: net names are interned in one arena behind a
-//! [`NameIndex`](crate::intern::NameIndex), per-net data (name,
+//! `NameIndex`, per-net data (name,
 //! explicit capacitance, primary-I/O flags) is one dense table indexed
 //! by [`NetId`], and device names get an index of their own. Adding a
 //! net or a device allocates nothing beyond amortized table growth and

@@ -641,7 +641,7 @@ mod tests {
         let t = table(Polarity::Nmos);
         let a = Mosfet::new(tech.clone(), Polarity::Nmos);
         let g = Geometry::new(1e-6, 0.35e-6);
-        // On-grid (vs, vg) with various vd: fit error only (no interp).
+        // On-grid (vs, vg) with various vd: fit error only (no interpolation).
         for &(vg, vs, vd) in &[
             (3.3, 0.0, 3.3),
             (3.3, 0.0, 0.5),

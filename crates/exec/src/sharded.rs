@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 const SHARDS: usize = 16;
 
-/// A concurrently usable `HashMap` split across [`SHARDS`] locks.
+/// A concurrently usable `HashMap` split across `SHARDS` locks.
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,

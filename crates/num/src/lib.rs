@@ -1,47 +1,47 @@
 //! Numerical kernels underpinning the QWM transistor-level timing analyzer.
 //!
 //! This crate is self-contained (no external numerics dependencies) and
-//! provides exactly the machinery the paper's algorithm needs:
+//! holds exactly the kernels the rest of the workspace calls, each with
+//! one implementation:
 //!
 //! * [`matrix`] — a small dense row-major matrix with LU decomposition and
-//!   partial pivoting, used as the general-purpose linear solver and as the
-//!   baseline for the tridiagonal-solver ablation (paper §IV-B).
-//! * [`tridiag`] — the Thomas algorithm for tridiagonal systems, the O(K)
-//!   workhorse of the QWM Newton update.
-//! * [`sherman_morrison`] — solving `(A + u vᵀ) x = b` with two tridiagonal
-//!   back-solves, exactly as the paper does for the dense last Jacobian
-//!   column (the unknown region end time τ′).
-//! * [`newton`] — a damped Newton–Raphson driver over a user-supplied
-//!   residual/Jacobian, with configurable convergence criteria.
-//! * [`polyfit`] — linear least-squares polynomial fitting (normal
-//!   equations with partial-pivoted LU), used by the tabular device model
-//!   (linear fit in saturation, quadratic fit in triode, paper §V-A).
-//! * [`interp`] — 1-D linear and 2-D bilinear interpolation over uniform
-//!   grids, used for device-table queries between characterized points.
-//! * [`roots`] — bracketing plus bisection/Brent root refinement, used for
-//!   waveform threshold crossings.
-//! * [`integrate`] — trapezoid/Simpson quadrature for waveform metrics.
-//! * [`stats`] — error metrics (max/mean relative error, RMS) used by the
-//!   experiment harness when comparing QWM against the SPICE baseline.
-//! * [`rng`] — a deterministic PRNG for workload synthesis and randomized
-//!   tests, keeping the workspace free of external dependencies.
+//!   partial pivoting. The SPICE baseline's MNA solve
+//!   (`qwm_spice::engine`, `qwm_spice::dcop`), the dense-LU ablation of
+//!   the QWM region solve (`qwm_core::solver`, paper §IV-B) and
+//!   [`polyfit`]'s normal equations use it.
+//! * [`tridiag`] — the Thomas algorithm, the O(K) workhorse of the QWM
+//!   Newton update: the region solver runs its tridiagonal-plus-τ′-column
+//!   system as two Thomas solves and a scalar elimination.
+//! * [`newton`] — a damped Newton–Raphson driver behind
+//!   `qwm_spice::dcop::dc_operating_point` (consistent DC starting
+//!   voltages). Neither transient engine uses it; each has its own loop.
+//! * [`polyfit`] — linear least-squares polynomial fitting, used by the
+//!   tabular device model (`qwm_device::table`: linear fit in
+//!   saturation, quadratic fit in triode, paper §V-A).
+//! * [`roots`] — a scan bracket plus Brent refinement, used for the 50 %
+//!   crossing of the AWE two-pole model (`qwm_interconnect::awe`).
+//! * [`stats`] — means, percentiles, Box–Muller sampling and series
+//!   comparison, used by the Monte Carlo corners (`qwm_device::corner`),
+//!   the paper bins, the capacity harness and the benchmark.
+//! * [`rng`] — a deterministic PRNG for workload synthesis, Monte Carlo
+//!   corners, fault plans and randomized tests, keeping the workspace free
+//!   of external dependencies.
 //!
 //! # Example
 //!
-//! Solve a small linear system with LU and verify against the tridiagonal
-//! path:
+//! Solve a small tridiagonal system with LU and with the Thomas path:
 //!
 //! ```
 //! use qwm_num::matrix::Matrix;
-//! use qwm_num::tridiag::Tridiagonal;
+//! use qwm_num::tridiag::thomas_solve_into;
 //!
 //! # fn main() -> Result<(), qwm_num::NumError> {
 //! let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]])?;
 //! let b = [3.0, 5.0, 3.0];
 //! let x_lu = a.solve(&b)?;
 //!
-//! let t = Tridiagonal::from_bands(vec![1.0, 1.0], vec![2.0, 3.0, 2.0], vec![1.0, 1.0])?;
-//! let x_tri = t.solve(&b)?;
+//! let (mut c, mut x_tri) = ([0.0; 3], [0.0; 3]);
+//! thomas_solve_into(&[1.0, 1.0], &[2.0, 3.0, 2.0], &[1.0, 1.0], &b, &mut c, &mut x_tri)?;
 //! for (l, t) in x_lu.iter().zip(&x_tri) {
 //!     assert!((l - t).abs() < 1e-12);
 //! }
@@ -53,14 +53,11 @@
 // redundant_clone is allow-by-default upstream, denied here.
 #![deny(clippy::redundant_clone)]
 
-pub mod integrate;
-pub mod interp;
 pub mod matrix;
 pub mod newton;
 pub mod polyfit;
 pub mod rng;
 pub mod roots;
-pub mod sherman_morrison;
 pub mod stats;
 pub mod tridiag;
 
@@ -140,29 +137,9 @@ impl std::error::Error for NumError {}
 /// Crate-wide `Result` alias.
 pub type Result<T> = std::result::Result<T, NumError>;
 
-/// Returns true when `a` and `b` agree to within `tol` absolutely or
-/// relatively (whichever is looser), the comparison used throughout the
-/// test suites.
-///
-/// ```
-/// assert!(qwm_num::approx_eq(1.0, 1.0 + 1e-13, 1e-9));
-/// assert!(!qwm_num::approx_eq(1.0, 1.1, 1e-9));
-/// ```
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn approx_eq_absolute_and_relative() {
-        assert!(approx_eq(0.0, 0.0, 1e-12));
-        assert!(approx_eq(1e12, 1e12 * (1.0 + 1e-10), 1e-9));
-        assert!(!approx_eq(1.0, 2.0, 1e-9));
-    }
 
     #[test]
     fn error_display_is_informative() {

@@ -1,21 +1,19 @@
 //! A damped Newton–Raphson driver.
 //!
-//! Both engines in this toolkit run Newton–Raphson, but over very
-//! different problem sizes and counts:
-//!
-//! * the SPICE baseline solves one nonlinear system **per time step**
-//!   (hundreds to thousands of solves per transient);
-//! * QWM solves one nonlinear system **per critical region** (K solves
-//!   per transient, the paper's entire point).
+//! Neither transient engine runs this driver: QWM has its own Newton
+//! loop over the bordered tridiagonal system (`qwm_core::solver`) and
+//! the SPICE baseline its own over the MNA matrix (`qwm_spice::engine`).
+//! Its one caller is `qwm_spice::dcop::dc_operating_point`, which
+//! solves a stage's static KCL system for consistent DC starting
+//! voltages (ROADMAP items 3(a) and 10(e); the latch test in
+//! `tests/flat_circuit.rs`). It is off every hot path, so each solve
+//! owns its buffers.
 //!
 //! The driver is generic over a [`NonlinearSystem`], which supplies the
 //! residual and the Jacobian *solve* (not the Jacobian itself) so that
-//! implementations can pick their own linear algebra — dense LU for
-//! SPICE's MNA matrix, Thomas + Sherman–Morrison for QWM's
-//! tridiagonal-plus-column system.
+//! implementations can pick their own linear algebra.
 
 use crate::{NumError, Result};
-use std::cell::RefCell;
 
 /// A nonlinear system `F(x) = 0` together with a way to solve its
 /// linearization.
@@ -32,9 +30,8 @@ pub trait NonlinearSystem {
     fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<()>;
 
     /// Solves `J(x) · delta = f` for the Newton update, writing it into
-    /// the caller-provided `delta` (length [`Self::dim`]). The driver
-    /// owns the buffer (see [`NewtonWorkspace`]) so per-iteration heap
-    /// traffic stays out of the hot path.
+    /// the caller-provided `delta` (length [`Self::dim`]), a buffer the
+    /// driver owns.
     ///
     /// # Errors
     ///
@@ -46,52 +43,6 @@ pub trait NonlinearSystem {
     /// (e.g. node voltages into `[−0.5, Vdd + 0.5]`). The default is the
     /// identity.
     fn project(&self, _x: &mut [f64]) {}
-}
-
-/// Reusable buffers for [`newton_solve_with`]: residual, update, trial
-/// point, trial residual, and the best-candidate pair kept by the damped
-/// line search. Owning one per driver (or per worker thread) makes a
-/// warm Newton solve allocation-free apart from the returned
-/// [`NewtonOutcome`].
-#[derive(Debug, Default, Clone)]
-pub struct NewtonWorkspace {
-    f: Vec<f64>,
-    delta: Vec<f64>,
-    xt: Vec<f64>,
-    ft: Vec<f64>,
-    best_x: Vec<f64>,
-    best_f: Vec<f64>,
-}
-
-impl NewtonWorkspace {
-    /// A workspace pre-sized for `n`-dimensional systems.
-    pub fn new(n: usize) -> Self {
-        let mut ws = NewtonWorkspace::default();
-        ws.ensure_dim(n);
-        ws
-    }
-
-    /// Grows (or shrinks) every buffer to length `n`. Amortized free
-    /// once the workspace has seen the largest system it will serve.
-    pub fn ensure_dim(&mut self, n: usize) {
-        for buf in [
-            &mut self.f,
-            &mut self.delta,
-            &mut self.xt,
-            &mut self.ft,
-            &mut self.best_x,
-            &mut self.best_f,
-        ] {
-            buf.resize(n, 0.0);
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread fallback workspace for the legacy [`newton_solve`]
-    /// entry point, so callers that never thread a workspace through
-    /// still reuse buffers across solves on the same worker.
-    static NEWTON_WS: RefCell<NewtonWorkspace> = RefCell::new(NewtonWorkspace::default());
 }
 
 /// Convergence and damping controls for [`newton_solve`].
@@ -175,30 +126,6 @@ pub fn newton_solve<S: NonlinearSystem + ?Sized>(
     x0: &[f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonOutcome> {
-    NEWTON_WS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => newton_solve_with(system, x0, opts, &mut ws),
-        // Re-entrant call (a residual that itself runs Newton): fall
-        // back to a fresh workspace rather than panicking the borrow.
-        Err(_) => newton_solve_with(system, x0, opts, &mut NewtonWorkspace::default()),
-    })
-}
-
-/// [`newton_solve`] with an explicit, caller-owned [`NewtonWorkspace`].
-///
-/// All scratch lives in `ws`; a warm call allocates only the returned
-/// `NewtonOutcome::x`. Results are bitwise-identical to
-/// [`newton_solve`] — the workspace changes where intermediates live,
-/// never the arithmetic.
-///
-/// # Errors
-///
-/// Same contract as [`newton_solve`].
-pub fn newton_solve_with<S: NonlinearSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    opts: &NewtonOptions,
-    ws: &mut NewtonWorkspace,
-) -> Result<NewtonOutcome> {
     let n = system.dim();
     if x0.len() != n {
         return Err(NumError::Dimension {
@@ -206,21 +133,18 @@ pub fn newton_solve_with<S: NonlinearSystem + ?Sized>(
             detail: format!("x0.len()={} dim={n}", x0.len()),
         });
     }
-    ws.ensure_dim(n);
-    // Split borrows so the trial-point fill can read `delta` while
-    // writing `xt`.
-    let NewtonWorkspace {
-        f,
-        delta,
-        xt,
-        ft,
-        best_x,
-        best_f,
-    } = ws;
+    // Residual, update, trial point, trial residual, and the
+    // best-candidate pair kept by the damped line search.
+    let mut f = vec![0.0; n];
+    let mut delta = vec![0.0; n];
+    let mut xt = vec![0.0; n];
+    let mut ft = vec![0.0; n];
+    let mut best_x = vec![0.0; n];
+    let mut best_f = vec![0.0; n];
     let mut x = x0.to_vec();
     system.project(&mut x);
-    system.residual(&x, f)?;
-    let mut fnorm = inf_norm(f);
+    system.residual(&x, &mut f)?;
+    let mut fnorm = inf_norm(&f);
 
     for iter in 0..opts.max_iterations {
         if fnorm <= opts.tol_residual {
@@ -230,7 +154,7 @@ pub fn newton_solve_with<S: NonlinearSystem + ?Sized>(
                 residual_norm: fnorm,
             });
         }
-        system.solve_jacobian(&x, f, delta)?;
+        system.solve_jacobian(&x, &f, &mut delta)?;
         if !delta.iter().all(|d| d.is_finite()) {
             return Err(NumError::NoConvergence {
                 method: "newton (non-finite update)",
@@ -248,13 +172,13 @@ pub fn newton_solve_with<S: NonlinearSystem + ?Sized>(
             for ((t, xi), di) in xt.iter_mut().zip(&x).zip(delta.iter()) {
                 *t = xi - lambda * di;
             }
-            system.project(xt);
-            match system.residual(xt, ft) {
+            system.project(&mut xt);
+            match system.residual(&xt, &mut ft) {
                 Ok(()) => {
-                    let norm = inf_norm(ft);
+                    let norm = inf_norm(&ft);
                     if norm.is_finite() && (!have_best || norm < best_norm) {
-                        best_x.copy_from_slice(xt);
-                        best_f.copy_from_slice(ft);
+                        best_x.copy_from_slice(&xt);
+                        best_f.copy_from_slice(&ft);
                         best_norm = norm;
                         have_best = true;
                     }
@@ -281,8 +205,8 @@ pub fn newton_solve_with<S: NonlinearSystem + ?Sized>(
             .iter()
             .zip(best_x.iter())
             .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
-        x.copy_from_slice(best_x);
-        f.copy_from_slice(best_f);
+        x.copy_from_slice(&best_x);
+        f.copy_from_slice(&best_f);
         fnorm = best_norm;
         if update_norm <= opts.tol_update {
             return Ok(NewtonOutcome {
@@ -412,24 +336,5 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         assert!(newton_solve(&TwoD, &[1.0], &NewtonOptions::default()).is_err());
-    }
-
-    /// A workspace reused across solves (including dimension changes)
-    /// yields bitwise-identical iterates to the thread-local path.
-    #[test]
-    fn reused_workspace_is_bitwise_identical() {
-        let mut ws = NewtonWorkspace::new(1);
-        let opts = NewtonOptions::default();
-        for _ in 0..3 {
-            let a = newton_solve(&TwoD, &[3.0, 0.5], &opts).unwrap();
-            let b = newton_solve_with(&TwoD, &[3.0, 0.5], &opts, &mut ws).unwrap();
-            assert_eq!(a.iterations, b.iterations);
-            assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
-            for (p, q) in a.x.iter().zip(&b.x) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
-            let s = newton_solve_with(&Steep, &[5.0], &opts, &mut ws).unwrap();
-            assert!(s.x[0].abs() < 1e-8);
-        }
     }
 }

@@ -140,29 +140,6 @@ pub fn polyfit(x: &[f64], y: &[f64], degree: usize) -> Result<Polynomial> {
     Polynomial::new(coeffs, center)
 }
 
-/// Root-mean-square residual of a fit over the given samples.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] on empty or mismatched samples.
-pub fn fit_rms_error(p: &Polynomial, x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.is_empty() || x.len() != y.len() {
-        return Err(NumError::InvalidInput {
-            context: "fit_rms_error",
-            detail: format!("x.len()={} y.len()={}", x.len(), y.len()),
-        });
-    }
-    let ss: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(&xi, &yi)| {
-            let e = p.eval(xi) - yi;
-            e * e
-        })
-        .sum();
-    Ok((ss / x.len() as f64).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +152,6 @@ mod tests {
         for &t in &x {
             assert!((p.eval(t) - (2.0 - 3.0 * t + 0.5 * t * t)).abs() < 1e-9);
         }
-        assert!(fit_rms_error(&p, &x, &y).unwrap() < 1e-9);
     }
 
     #[test]
@@ -217,8 +193,6 @@ mod tests {
         assert!(polyfit(&[1.0, 2.0], &[1.0, 2.0], 2).is_err());
         assert!(polyfit(&[1.0, f64::NAN], &[1.0, 2.0], 1).is_err());
         assert!(Polynomial::new(vec![], 0.0).is_err());
-        let p = Polynomial::new(vec![1.0], 0.0).unwrap();
-        assert!(fit_rms_error(&p, &[], &[]).is_err());
     }
 
     #[test]

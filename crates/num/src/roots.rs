@@ -1,68 +1,33 @@
-//! Scalar root finding: bisection and Brent's method.
+//! Scalar root finding: a uniform-scan bracket and Brent's method.
 //!
-//! Used for waveform threshold crossings (50% delay points, 10%/90% slew
-//! points) and for inverting the quadratic voltage pieces when locating
-//! QWM critical points analytically is inconvenient.
+//! Their caller is `qwm_interconnect::awe`: `TwoPoleModel::delay_50`
+//! brackets the 50 % crossing of the two-pole step response with
+//! [`bracket`] and refines it with [`brent`]. ROADMAP item 2's
+//! bracketed τ′ fallback for the QWM region solve is planned on the
+//! same pair.
 
 use crate::{NumError, Result};
-
-/// Refines a root of `f` inside the bracket `[a, b]` by bisection.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] if the bracket does not straddle a
-/// sign change and [`NumError::NoConvergence`] if the interval fails to
-/// shrink below `tol` within `max_iter` halvings.
-///
-/// ```
-/// # fn main() -> Result<(), qwm_num::NumError> {
-/// let root = qwm_num::roots::bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200)?;
-/// assert!((root - 2f64.sqrt()).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-pub fn bisect<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64, max_iter: usize) -> Result<f64> {
-    let (mut lo, mut hi) = (a.min(b), a.max(b));
-    let (mut flo, fhi) = (f(lo), f(hi));
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo * fhi > 0.0 {
-        return Err(NumError::InvalidInput {
-            context: "bisect",
-            detail: format!("no sign change on [{lo}, {hi}]"),
-        });
-    }
-    for _ in 0..max_iter {
-        let mid = 0.5 * (lo + hi);
-        let fm = f(mid);
-        if fm == 0.0 || (hi - lo) < tol {
-            return Ok(mid);
-        }
-        if flo * fm < 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-            flo = fm;
-        }
-    }
-    Err(NumError::NoConvergence {
-        method: "bisect",
-        iterations: max_iter,
-        residual: hi - lo,
-    })
-}
 
 /// Brent's method: inverse-quadratic interpolation with a bisection
 /// safety net. Typically converges in ~10 evaluations where bisection
 /// needs 40+.
 ///
+/// ```
+/// use qwm_num::roots::{bracket, brent};
+/// # fn main() -> Result<(), qwm_num::NumError> {
+/// let f = |x: f64| x * x - 2.0;
+/// let (a, b) = bracket(f, 0.0, 2.0, 8).expect("sign change");
+/// let root = brent(f, a, b, 1e-12, 100)?;
+/// assert!((root - 2f64.sqrt()).abs() < 1e-10);
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Errors
 ///
-/// Same contract as [`bisect`].
+/// Returns [`NumError::InvalidInput`] if the bracket does not straddle a
+/// sign change and [`NumError::NoConvergence`] if the interval fails to
+/// shrink below `tol` within `max_iter` iterations.
 pub fn brent<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64, max_iter: usize) -> Result<f64> {
     let (mut a, mut b) = (a, b);
     let (mut fa, mut fb) = (f(a), f(b));
@@ -139,8 +104,7 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64, max_iter: usize)
 /// Scans `[a, b]` in `steps` uniform increments and returns the first
 /// sub-interval on which `f` changes sign, or `None`.
 ///
-/// Used to bracket threshold crossings of sampled waveforms before
-/// handing off to [`brent`].
+/// Hands a sign-change interval to [`brent`].
 pub fn bracket<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, steps: usize) -> Option<(f64, f64)> {
     if steps == 0 || b.is_nan() || a.is_nan() || b <= a {
         return None;
@@ -168,18 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-13, 200).unwrap();
-        assert!((r - 2f64.sqrt()).abs() < 1e-11);
-    }
-
-    #[test]
-    fn bisect_endpoint_roots() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 10).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 10).unwrap(), 1.0);
-    }
-
-    #[test]
     fn brent_matches_bisect_but_faster_polynomials() {
         let f = |x: f64| (x - 0.3) * (x * x + 1.0);
         let rb = brent(f, 0.0, 1.0, 1e-14, 100).unwrap();
@@ -194,7 +146,6 @@ mod tests {
 
     #[test]
     fn no_sign_change_rejected() {
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 50).is_err());
         assert!(brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 50).is_err());
     }
 

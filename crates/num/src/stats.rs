@@ -126,28 +126,6 @@ pub fn normal_from_uniforms(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Relative error `|got − want| / |want|` in percent.
-///
-/// # Errors
-///
-/// Returns [`NumError::InvalidInput`] when `want == 0` or either value
-/// is non-finite.
-pub fn relative_error_pct(got: f64, want: f64) -> Result<f64> {
-    if want == 0.0 {
-        return Err(NumError::InvalidInput {
-            context: "relative_error_pct",
-            detail: "reference value is zero".to_string(),
-        });
-    }
-    if !got.is_finite() || !want.is_finite() {
-        return Err(NumError::InvalidInput {
-            context: "relative_error_pct",
-            detail: format!("non-finite value (got={got} want={want})"),
-        });
-    }
-    Ok(100.0 * (got - want).abs() / want.abs())
-}
-
 /// Summary of pairwise relative errors between two equally long series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorSummary {
@@ -250,13 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_error() {
-        assert!((relative_error_pct(101.0, 100.0).unwrap() - 1.0).abs() < 1e-12);
-        assert!((relative_error_pct(99.0, 100.0).unwrap() - 1.0).abs() < 1e-12);
-        assert!(relative_error_pct(1.0, 0.0).is_err());
-    }
-
-    #[test]
     fn series_comparison_with_floor() {
         let want = [1.0, 2.0, 1e-15];
         let got = [1.01, 1.98, 5e-15];
@@ -296,8 +267,6 @@ mod tests {
         assert!(mean(&[f64::INFINITY]).is_err());
         assert!(rms(&[f64::NEG_INFINITY]).is_err());
         assert!(percentile(&[0.0, f64::INFINITY], 1.0).is_err());
-        assert!(relative_error_pct(f64::NAN, 1.0).is_err());
-        assert!(relative_error_pct(1.0, f64::NAN).is_err());
         assert!(compare_series(&bad, &[1.0; 4], 0.0).is_err());
         assert!(compare_series(&[1.0; 4], &bad, 0.0).is_err());
         // The infallible Box–Muller helper propagates NaN rather than

@@ -1,4 +1,4 @@
-//! Tridiagonal systems and the Thomas algorithm.
+//! The Thomas algorithm for tridiagonal systems.
 //!
 //! The Jacobian of the QWM current-matching equations (paper Eq. (9)) is
 //! tridiagonal with respect to the node voltages because each node's
@@ -6,195 +6,37 @@
 //! below and above it. Solving such a system costs O(K) instead of the
 //! O(K³) of a dense LU — the paper reports this alone buys ~2× on the
 //! Newton update.
+//!
+//! [`thomas_solve_into`] is the one entry point. Its caller is the QWM
+//! region solver (`qwm_core::solver`), which runs the §IV-B
+//! tridiagonal-plus-τ′-column update as two Thomas solves and a scalar
+//! elimination.
 
 use crate::{NumError, Result};
 
-/// A tridiagonal matrix stored as three bands.
+/// Thomas solve over borrowed bands: `x` receives the solution of the
+/// tridiagonal system, `c_scratch` holds the modified superdiagonal
+/// during elimination. Both must have `diag.len()` elements; `sub`/`sup`
+/// carry `diag.len() - 1`. The region solver stamps its bands into a
+/// reusable scratch, so a Newton iteration performs zero allocations.
 ///
-/// For an `n × n` system the bands are `sub` (length `n-1`, below the
-/// diagonal), `diag` (length `n`) and `sup` (length `n-1`, above the
-/// diagonal).
+/// The Thomas algorithm does not pivot; it is stable for the diagonally
+/// dominant systems QWM produces (each diagonal carries the node
+/// capacitance term plus device conductances). A vanishing eliminated
+/// pivot is reported as singular.
 ///
 /// ```
-/// use qwm_num::tridiag::Tridiagonal;
+/// use qwm_num::tridiag::thomas_solve_into;
 /// # fn main() -> Result<(), qwm_num::NumError> {
 /// // [2 1 0; 1 2 1; 0 1 2] x = [4; 8; 8]  =>  x = [1; 2; 3]
-/// let t = Tridiagonal::from_bands(vec![1.0, 1.0], vec![2.0, 2.0, 2.0], vec![1.0, 1.0])?;
-/// let x = t.solve(&[4.0, 8.0, 8.0])?;
+/// let (mut c, mut x) = ([0.0; 3], [0.0; 3]);
+/// thomas_solve_into(&[1.0, 1.0], &[2.0; 3], &[1.0, 1.0], &[4.0, 8.0, 8.0], &mut c, &mut x)?;
 /// assert!((x[0] - 1.0).abs() < 1e-12);
 /// assert!((x[1] - 2.0).abs() < 1e-12);
 /// assert!((x[2] - 3.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tridiagonal {
-    sub: Vec<f64>,
-    diag: Vec<f64>,
-    sup: Vec<f64>,
-}
-
-impl Tridiagonal {
-    /// Creates an `n × n` zero tridiagonal matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] if `n == 0`.
-    pub fn zeros(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(NumError::Dimension {
-                context: "Tridiagonal::zeros",
-                detail: "n=0".to_string(),
-            });
-        }
-        Ok(Tridiagonal {
-            sub: vec![0.0; n.saturating_sub(1)],
-            diag: vec![0.0; n],
-            sup: vec![0.0; n.saturating_sub(1)],
-        })
-    }
-
-    /// Builds a tridiagonal matrix from its bands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] unless
-    /// `sub.len() == sup.len() == diag.len() - 1` and `diag` is non-empty.
-    pub fn from_bands(sub: Vec<f64>, diag: Vec<f64>, sup: Vec<f64>) -> Result<Self> {
-        if diag.is_empty() || sub.len() != diag.len() - 1 || sup.len() != diag.len() - 1 {
-            return Err(NumError::Dimension {
-                context: "Tridiagonal::from_bands",
-                detail: format!("sub={} diag={} sup={}", sub.len(), diag.len(), sup.len()),
-            });
-        }
-        Ok(Tridiagonal { sub, diag, sup })
-    }
-
-    /// Dimension of the system.
-    pub fn dim(&self) -> usize {
-        self.diag.len()
-    }
-
-    /// Returns entry (`r`, `c`), which is zero outside the three bands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        let n = self.dim();
-        assert!(r < n && c < n, "tridiagonal index out of bounds");
-        if r == c {
-            self.diag[r]
-        } else if c + 1 == r {
-            self.sub[c]
-        } else if r + 1 == c {
-            self.sup[r]
-        } else {
-            0.0
-        }
-    }
-
-    /// Sets entry (`r`, `c`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds or outside the three bands.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        let n = self.dim();
-        assert!(r < n && c < n, "tridiagonal index out of bounds");
-        if r == c {
-            self.diag[r] = v;
-        } else if c + 1 == r {
-            self.sub[c] = v;
-        } else if r + 1 == c {
-            self.sup[r] = v;
-        } else {
-            panic!("({r},{c}) lies outside the tridiagonal bands");
-        }
-    }
-
-    /// Matrix-vector product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] if `x.len() != dim()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if x.len() != n {
-            return Err(NumError::Dimension {
-                context: "Tridiagonal::mul_vec",
-                detail: format!("x.len()={} n={n}", x.len()),
-            });
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = self.diag[i] * x[i];
-            if i > 0 {
-                s += self.sub[i - 1] * x[i - 1];
-            }
-            if i + 1 < n {
-                s += self.sup[i] * x[i + 1];
-            }
-            y[i] = s;
-        }
-        Ok(y)
-    }
-
-    /// Solves `T x = b` with the Thomas algorithm in O(n).
-    ///
-    /// The Thomas algorithm does not pivot; it is stable for the
-    /// diagonally dominant systems QWM produces (each diagonal carries the
-    /// node capacitance term plus device conductances). A vanishing
-    /// eliminated pivot is reported as singular.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] on size mismatch and
-    /// [`NumError::Singular`] on pivot breakdown.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        let mut c = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        thomas_solve_into(&self.sub, &self.diag, &self.sup, b, &mut c, &mut x)?;
-        Ok(x)
-    }
-
-    /// Borrowed-band Thomas solve writing into `x`; see
-    /// [`thomas_solve_into`]. `c_scratch` is overwritten scratch of
-    /// length `dim()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Dimension`] on size mismatch and
-    /// [`NumError::Singular`] on pivot breakdown.
-    pub fn solve_into(&self, b: &[f64], c_scratch: &mut [f64], x: &mut [f64]) -> Result<()> {
-        thomas_solve_into(&self.sub, &self.diag, &self.sup, b, c_scratch, x)
-    }
-
-    /// Converts to a dense [`crate::matrix::Matrix`] (tests/ablation).
-    pub fn to_dense(&self) -> crate::matrix::Matrix {
-        let n = self.dim();
-        let mut m = crate::matrix::Matrix::zeros(n, n).expect("n >= 1");
-        for r in 0..n {
-            for c in r.saturating_sub(1)..(r + 2).min(n) {
-                m.set(r, c, self.get(r, c));
-            }
-        }
-        m
-    }
-}
-
-/// Allocation-free Thomas solve over borrowed bands: `x` receives the
-/// solution of the tridiagonal system, `c_scratch` holds the modified
-/// superdiagonal during elimination. Both must have `diag.len()`
-/// elements; `sub`/`sup` carry `diag.len() - 1`. The hot QWM region
-/// solver stamps its bands into a reusable `SolveScratch` and calls
-/// this directly, so a Newton iteration performs zero allocations — the
-/// boxed [`Tridiagonal::solve`] delegates here with fresh buffers.
-///
-/// The operation order is identical to the historical boxed solve
-/// (forward elimination into `x`, then in-place back-substitution), so
-/// results are bitwise-identical to `Tridiagonal::solve`.
 ///
 /// # Errors
 ///
@@ -257,97 +99,63 @@ pub fn thomas_solve_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
+
+    /// Thomas solve with fresh scratch, for tests.
+    fn solve(sub: &[f64], diag: &[f64], sup: &[f64], b: &[f64]) -> Result<Vec<f64>> {
+        let n = diag.len();
+        let (mut c, mut x) = (vec![0.0; n], vec![0.0; n]);
+        thomas_solve_into(sub, diag, sup, b, &mut c, &mut x)?;
+        Ok(x)
+    }
 
     #[test]
     fn solve_1x1() {
-        let t = Tridiagonal::from_bands(vec![], vec![4.0], vec![]).unwrap();
-        assert_eq!(t.solve(&[8.0]).unwrap(), vec![2.0]);
+        assert_eq!(solve(&[], &[4.0], &[], &[8.0]).unwrap(), vec![2.0]);
     }
 
     #[test]
     fn solve_matches_dense_lu() {
-        let t = Tridiagonal::from_bands(
-            vec![-1.0, -2.0, 0.5, 1.0],
-            vec![4.0, 5.0, 6.0, 5.0, 4.0],
-            vec![1.0, -1.5, 2.0, -0.5],
-        )
-        .unwrap();
+        let (sub, diag, sup) = (
+            [-1.0, -2.0, 0.5, 1.0],
+            [4.0, 5.0, 6.0, 5.0, 4.0],
+            [1.0, -1.5, 2.0, -0.5],
+        );
         let b = [1.0, -2.0, 3.0, -4.0, 5.0];
-        let x_tri = t.solve(&b).unwrap();
-        let x_lu = t.to_dense().solve(&b).unwrap();
+        let mut dense = Matrix::zeros(5, 5).unwrap();
+        for (i, &d) in diag.iter().enumerate() {
+            dense.set(i, i, d);
+            if i > 0 {
+                dense.set(i, i - 1, sub[i - 1]);
+                dense.set(i - 1, i, sup[i - 1]);
+            }
+        }
+        let x_tri = solve(&sub, &diag, &sup, &b).unwrap();
+        let x_lu = dense.solve(&b).unwrap();
         for (a, b) in x_tri.iter().zip(&x_lu) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn mul_vec_roundtrip() {
-        let t = Tridiagonal::from_bands(vec![1.0, 2.0], vec![10.0, 10.0, 10.0], vec![3.0, 4.0])
-            .unwrap();
-        let x = [1.0, 2.0, 3.0];
-        let b = t.mul_vec(&x).unwrap();
-        let back = t.solve(&b).unwrap();
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn get_set_bands() {
-        let mut t = Tridiagonal::zeros(3).unwrap();
-        t.set(0, 0, 1.0);
-        t.set(1, 0, 2.0);
-        t.set(0, 1, 3.0);
-        assert_eq!(t.get(0, 0), 1.0);
-        assert_eq!(t.get(1, 0), 2.0);
-        assert_eq!(t.get(0, 1), 3.0);
-        assert_eq!(t.get(2, 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the tridiagonal bands")]
-    fn set_off_band_panics() {
-        let mut t = Tridiagonal::zeros(3).unwrap();
-        t.set(2, 0, 1.0);
-    }
-
-    #[test]
-    fn borrowed_solve_bitwise_matches_boxed() {
-        let t = Tridiagonal::from_bands(
-            vec![-1.0, -2.0, 0.5, 1.0],
-            vec![4.0, 5.0, 6.0, 5.0, 4.0],
-            vec![1.0, -1.5, 2.0, -0.5],
-        )
-        .unwrap();
-        let b = [1.0, -2.0, 3.0, -4.0, 5.0];
-        let boxed = t.solve(&b).unwrap();
-        let mut c = [0.0; 5];
-        let mut x = [0.0; 5];
-        t.solve_into(&b, &mut c, &mut x).unwrap();
-        for (a, e) in x.iter().zip(&boxed) {
-            assert_eq!(a.to_bits(), e.to_bits());
-        }
-        // Dimension checks on every slice argument.
-        assert!(thomas_solve_into(&[], &[], &[], &[], &mut [], &mut []).is_err());
-        assert!(t.solve_into(&b, &mut c[..4], &mut x).is_err());
-        assert!(t.solve_into(&b[..3], &mut c, &mut x).is_err());
-    }
-
-    #[test]
     fn singular_detection() {
-        let t = Tridiagonal::from_bands(vec![1.0], vec![0.0, 1.0], vec![1.0]).unwrap();
         assert!(matches!(
-            t.solve(&[1.0, 1.0]),
+            solve(&[1.0], &[0.0, 1.0], &[1.0], &[1.0, 1.0]),
             Err(NumError::Singular { .. })
         ));
     }
 
+    /// Every slice argument is length-checked.
     #[test]
     fn dimension_checks() {
-        assert!(Tridiagonal::zeros(0).is_err());
-        assert!(Tridiagonal::from_bands(vec![1.0], vec![1.0], vec![]).is_err());
-        let t = Tridiagonal::zeros(2).unwrap();
-        assert!(t.solve(&[1.0]).is_err());
-        assert!(t.mul_vec(&[1.0, 2.0, 3.0]).is_err());
+        let (sub, diag, sup, b) = ([1.0], [4.0, 4.0], [1.0], [1.0, 1.0]);
+        let (mut c, mut x) = ([0.0; 2], [0.0; 2]);
+        assert!(thomas_solve_into(&[], &[], &[], &[], &mut [], &mut []).is_err());
+        assert!(thomas_solve_into(&[], &diag, &sup, &b, &mut c, &mut x).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &[], &b, &mut c, &mut x).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b[..1], &mut c, &mut x).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b, &mut c[..1], &mut x).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b, &mut c, &mut x[..1]).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b, &mut c, &mut x).is_ok());
     }
 }

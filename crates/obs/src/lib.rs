@@ -3,7 +3,7 @@
 //! Every engine in the workspace reports into one process-global
 //! registry: named monotonic [`Counter`]s, fixed-bucket [`Histogram`]s
 //! with percentile summaries, hierarchical timing [`span!`]s and
-//! structured warn/error [`event`]s. The registry renders either a
+//! structured warn/error `event`s. The registry renders either a
 //! human-readable table or a line-oriented JSON dump.
 //!
 //! The whole layer is **off by default** and costs a single relaxed
@@ -20,7 +20,7 @@
 //! Any other value is *not* a silent fallback: it is reported through
 //! [`env::report_malformed`] (warn event + stderr line) and then the
 //! documented default `off` applies. All `QWM_*` variables in the
-//! workspace parse through the [`env`] module with the same contract.
+//! workspace parse through the [`env`](mod@env) module with the same contract.
 //!
 //! Typical instrumentation:
 //!
@@ -227,7 +227,7 @@ pub fn span_stats(path: &str) -> Option<SpanStats> {
 }
 
 /// Recently buffered events, oldest first (bounded ring; see
-/// [`event::EVENT_BUFFER_CAP`]).
+/// `event::EVENT_BUFFER_CAP`).
 pub fn recent_events() -> Vec<Event> {
     registry()
         .events

@@ -44,7 +44,7 @@ pub struct Counter(&'static CounterInner);
 
 impl Counter {
     /// Registers (or finds) the counter `name`. Call sites should cache
-    /// the handle via the [`counter!`] macro rather than re-registering
+    /// the handle via the [`crate::counter!`] macro rather than re-registering
     /// per use.
     pub fn register(name: &'static str) -> Counter {
         let mut counters = registry().counters.lock().expect("obs registry");
@@ -105,7 +105,7 @@ pub struct Gauge(&'static GaugeInner);
 
 impl Gauge {
     /// Registers (or finds) the gauge `name`. Call sites should cache
-    /// the handle via the [`gauge!`] macro rather than re-registering
+    /// the handle via the [`crate::gauge!`] macro rather than re-registering
     /// per use.
     pub fn register(name: &'static str) -> Gauge {
         let mut gauges = registry().gauges.lock().expect("obs registry");

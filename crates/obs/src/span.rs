@@ -83,14 +83,14 @@ fn intern_path(path: &str) -> &'static SpanStatInner {
     inner
 }
 
-/// RAII guard produced by [`span!`]. Inert (no clock read, no
+/// RAII guard produced by [`crate::span!`]. Inert (no clock read, no
 /// allocation) while the layer is disabled.
 pub struct SpanGuard {
     active: Option<(Instant, &'static str)>,
 }
 
 impl SpanGuard {
-    /// Enters the span `name` (callers normally use the [`span!`]
+    /// Enters the span `name` (callers normally use the [`crate::span!`]
     /// macro).
     pub fn enter(name: &'static str) -> SpanGuard {
         if !enabled() {

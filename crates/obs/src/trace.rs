@@ -30,6 +30,7 @@
 //! the window loss at zero.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -461,11 +462,30 @@ pub struct TraceTree {
     /// Reachable records (including the root), ordered by
     /// `(start_ns, id)`.
     pub records: Vec<TraceRecord>,
+    /// Parent id → indices of its children in `records`, in record
+    /// order; built once by [`take_tree`] for the renderer.
+    children: HashMap<u64, Vec<usize>>,
+}
+
+/// Parent id → indices of its children in `records`, in slice order.
+/// A record naming itself as parent is nobody's child.
+fn child_index(records: &[TraceRecord]) -> HashMap<u64, Vec<usize>> {
+    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, r) in records.iter().enumerate() {
+        if r.parent != r.id {
+            index.entry(r.parent).or_default().push(i);
+        }
+    }
+    index
 }
 
 /// Collects the tree rooted at `root` from the ring pool. Call after
 /// the root guard has dropped. Records already overwritten by ring
 /// wrap-around are absent (the tree is then partial).
+///
+/// Linear in the ring window: one parent → children index drives the
+/// reachability walk, and another over the kept records serves
+/// rendering.
 pub fn take_tree(root: u64) -> TraceTree {
     let mut all = Vec::new();
     if root != 0 && RINGS_BUILT.load(Ordering::Acquire) {
@@ -474,27 +494,27 @@ pub fn take_tree(root: u64) -> TraceTree {
         }
     }
     // Reachability from the root via parent links.
-    let mut keep: Vec<TraceRecord> = Vec::new();
+    let window = child_index(&all);
+    let mut keep: Vec<bool> = all.iter().map(|r| r.id == root).collect();
     let mut frontier = vec![root];
-    let mut reachable = std::collections::HashSet::new();
-    reachable.insert(root);
     while let Some(p) = frontier.pop() {
-        for rec in &all {
-            if rec.parent == p && !reachable.contains(&rec.id) {
-                reachable.insert(rec.id);
-                frontier.push(rec.id);
+        for &i in window.get(&p).map_or(&[][..], Vec::as_slice) {
+            if !keep[i] {
+                keep[i] = true;
+                frontier.push(all[i].id);
             }
         }
     }
-    for rec in all {
-        if reachable.contains(&rec.id) {
-            keep.push(rec);
-        }
-    }
-    keep.sort_by_key(|r| (r.start_ns, r.id));
+    let mut records: Vec<TraceRecord> = all
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(r, k)| k.then_some(r))
+        .collect();
+    records.sort_by_key(|r| (r.start_ns, r.id));
     TraceTree {
         root,
-        records: keep,
+        children: child_index(&records),
+        records,
     }
 }
 
@@ -522,9 +542,11 @@ impl TraceTree {
     }
 
     fn children_of(&self, id: u64) -> Vec<&TraceRecord> {
-        self.records
+        self.children
+            .get(&id)
+            .map_or(&[][..], Vec::as_slice)
             .iter()
-            .filter(|r| r.parent == id && r.id != id)
+            .map(|&i| &self.records[i])
             .collect()
     }
 
@@ -565,8 +587,9 @@ impl TraceTree {
             }
         }
         let children = self.children_of(rec.id);
-        let stages: Vec<&&TraceRecord> = children
+        let mut stages: Vec<&TraceRecord> = children
             .iter()
+            .copied()
             .filter(|c| c.kind == TraceKind::Stage)
             .collect();
         if stages.is_empty() {
@@ -580,13 +603,11 @@ impl TraceTree {
         for c in children.iter().filter(|c| c.kind != TraceKind::Stage) {
             self.render_node(c, depth + 1, out);
         }
-        let mut levels: Vec<u64> = stages.iter().map(|s| s.meta[1]).collect();
-        levels.sort_unstable();
-        levels.dedup();
+        // Stable sort: record order within a level is kept.
+        stages.sort_by_key(|s| s.meta[1]);
         let cpad = "  ".repeat(depth + 1);
-        for lvl in levels {
-            let members: Vec<&&&TraceRecord> = stages.iter().filter(|s| s.meta[1] == lvl).collect();
-            let n = members.len();
+        for members in stages.chunk_by(|a, b| a.meta[1] == b.meta[1]) {
+            let (lvl, n) = (members[0].meta[1], members.len());
             out.push_str(&format!(
                 "{cpad}level {lvl} ({n} stage{})\n",
                 if n == 1 { "" } else { "s" }
@@ -764,6 +785,57 @@ mod tests {
         assert!(text.contains("rung=qwm"), "{text}");
         for line in tree.render_json().lines() {
             assert!(line.starts_with("{\"type\":\"trace\""), "{line}");
+        }
+    }
+
+    /// A root with a 200-deep chain and a 300-wide level, interleaved
+    /// with 2 000 unrelated records in one ring: collection keeps
+    /// exactly the subtree and rendering reaches every level.
+    #[test]
+    fn take_tree_keeps_deep_and_wide_subtrees_among_unrelated_records() {
+        let _g = trace_lock();
+        const DEPTH: usize = 200;
+        const WIDTH: usize = 300;
+        const NOISE: usize = 4; // unrelated records per tree record
+        const { assert!((DEPTH + WIDTH) * (1 + NOISE) < RING_CAP) };
+        let t0 = Instant::now();
+        let unrelated = |n: usize| {
+            for _ in 0..n {
+                record_manual("t.unrelated", u64::MAX, t0, Duration::ZERO);
+            }
+        };
+        let root_id;
+        {
+            let root = TraceGuard::enter("t.root");
+            root_id = root.id();
+            let mut chain = Vec::with_capacity(DEPTH);
+            for _ in 0..DEPTH {
+                chain.push(TraceGuard::enter("t.chain"));
+                unrelated(NOISE / 2);
+            }
+            // Innermost first, so each drop restores its own parent.
+            while let Some(link) = chain.pop() {
+                drop(link);
+                unrelated(NOISE / 2);
+            }
+            for s in 0..WIDTH as u64 {
+                let _stage = TraceGuard::enter_stage("t.wide", s, 1);
+                unrelated(NOISE);
+            }
+        }
+        let tree = take_tree(root_id);
+        let named = |name: &str| tree.records.iter().filter(|r| r.name == name).count();
+        assert_eq!(tree.records.len(), 1 + DEPTH + WIDTH);
+        assert_eq!((named("t.chain"), named("t.wide")), (DEPTH, WIDTH));
+        assert_eq!(named("t.unrelated"), 0);
+
+        let text = tree.render_text();
+        assert_eq!(text.lines().count(), 1 + DEPTH + 1 + WIDTH, "{text}");
+        let deepest = format!("{}t.chain ", "  ".repeat(DEPTH));
+        assert!(text.lines().any(|l| l.starts_with(&deepest)), "{text}");
+        assert!(text.contains("  level 1 (300 stages)\n"), "{text}");
+        for s in 0..WIDTH {
+            assert!(text.contains(&format!("    stage {s} ")), "stage {s}");
         }
     }
 

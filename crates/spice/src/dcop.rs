@@ -1,9 +1,13 @@
 //! DC operating-point analysis.
 //!
 //! Solves the static KCL system `outflow(v) = 0` for the internal nodes
-//! of a stage under fixed input voltages. Used to seed transient runs
-//! with consistent initial conditions (DESIGN.md §5.4) — e.g. the
-//! steady state of a stack before its switching input arrives.
+//! of a stage under fixed input voltages, through
+//! `qwm_num::newton::newton_solve`. Neither transient engine calls it:
+//! both start from the [`crate::engine::initial_uniform`] precharge. It
+//! gives flattened circuits consistent DC starting voltages — the latch
+//! test in `tests/flat_circuit.rs` solves both stable states of a
+//! cross-coupled pair, and ROADMAP items 3(a) and 10(e) (timing
+//! flattened decks against the stage-level flows) need the same.
 
 use crate::engine::TransientConfig;
 use qwm_circuit::stage::{DeviceKind, LogicStage};

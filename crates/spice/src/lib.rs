@@ -9,8 +9,12 @@
 //!   trapezoidal), Newton–Raphson or successive-chords iteration (the
 //!   TETA baseline), per-run iteration/factorization counters and wall
 //!   time for the Table I/II speedup columns;
-//! * [`dcop`] — DC operating-point analysis used to seed consistent
-//!   initial conditions.
+//! * [`adaptive`] — the LTE-controlled variable-step transient behind
+//!   the fallback ladder's adaptive rung;
+//! * [`dcop`] — DC operating-point analysis for flattened circuits
+//!   whose nodes need consistent starting voltages (feedback latches).
+//!   Neither transient engine calls it: both start from the
+//!   [`initial_uniform`] precharge.
 //!
 //! # Example
 //!
@@ -37,12 +41,10 @@
 //! ```
 
 pub mod adaptive;
-pub mod analysis;
 pub mod dcop;
 pub mod engine;
 
 pub use adaptive::{simulate_adaptive, AdaptiveConfig};
-pub use analysis::{dc_transfer, node_switching_energy, switching_threshold, VtcPoint};
 pub use dcop::dc_operating_point;
 pub use engine::{
     initial_uniform, simulate, Integration, IterationScheme, TransientConfig, TransientResult,

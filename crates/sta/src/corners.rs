@@ -6,7 +6,7 @@
 //! slowly: the stage graph is partitioned, fanout-loaded and levelized
 //! once per engine, and every sweep repeats that fixed cost. A sweep
 //! here is N named lanes of the propagation core
-//! ([`StaEngine::propagate`], DESIGN.md §10): the levelized stage DAG
+//! (`StaEngine::propagate`, DESIGN.md §10): the levelized stage DAG
 //! is traversed **once** and every corner is evaluated per stage.
 //!
 //! * [`CornerRun`] names one corner and carries its model set and
@@ -28,7 +28,7 @@
 //! one. The per-lane state is fully disjoint: separate commit books,
 //! separate evaluator instances, per-lane evaluation counters, and
 //! cache entries keyed by the interned corner name (a structural
-//! [`crate::engine::CacheKey`] member), so corners can never alias each
+//! `CacheKey` member), so corners can never alias each
 //! other's arcs even at identical slews.
 //!
 //! Per-corner evaluation runs inside a [`qwm_fault::scope`] named after

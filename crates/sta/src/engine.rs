@@ -6,12 +6,12 @@
 //! default). Every slew-aware flow — [`StaEngine::run_with_slew`],
 //! [`StaEngine::run_dual`], [`StaEngine::run_incremental`],
 //! [`StaEngine::run_corners`], [`StaEngine::run_incremental_corners`] —
-//! is a thin wrapper over [`StaEngine::propagate`]: one levelized,
-//! dependency-driven traversal over a set of [`Lane`]s and a scope
+//! is a thin wrapper over `StaEngine::propagate`: one levelized,
+//! dependency-driven traversal over a set of `Lane`s and a scope
 //! (whole graph, or the dirty cone of a prior commit book). Lane, scope,
 //! commit rule and the determinism argument are specified once, in
 //! DESIGN.md §10 "Propagation core"; every timing arc of every flow goes
-//! through one function and one cache, [`StaEngine::arc_timing`].
+//! through one function and one cache, `StaEngine::arc_timing`.
 //!
 //! Two traversals deliberately stay outside the core:
 //!
@@ -24,7 +24,7 @@
 //! * [`StaEngine::run_waveform`] — its payload is a full waveform per
 //!   net, uncached, with structural skips; it keeps its own traversal
 //!   but descends the shared fallback-ladder driver
-//!   ([`crate::evaluator::descend`]).
+//!   (`evaluator::descend`).
 
 use crate::evaluator::{
     descend, failure_chain, stimulus, Degradation, FallbackRung, Rung, StageEvaluator, Switching,
@@ -816,7 +816,7 @@ impl<'m> StaEngine<'m> {
     /// slew feeds the downstream stages — the waveform-propagation
     /// refinement the paper's §III-C motivates over delay/slope-only
     /// timing. One unnamed lane over the whole graph
-    /// ([`Self::propagate`]); bitwise-identical for any worker count.
+    /// (`Self::propagate`); bitwise-identical for any worker count.
     ///
     /// `input_slew` seeds the primary inputs (10–90 %).
     ///
@@ -874,7 +874,7 @@ impl<'m> StaEngine<'m> {
     /// (an output fall launches from the latest input *rise* and vice
     /// versa — the static-CMOS convention). Primary inputs get both
     /// transitions at t = 0 with `input_slew`. A fall lane and a rise
-    /// lane that launch from each other's book ([`Self::propagate`]).
+    /// lane that launch from each other's book (`Self::propagate`).
     ///
     /// Returns `(fall report, rise report)` whose `arrivals`/`slews`
     /// describe the respective output transitions; `worst` is the
@@ -1023,7 +1023,7 @@ impl<'m> StaEngine<'m> {
                         damped.region.max_dv *= 0.5;
                         qwm_rung(&damped)
                     };
-                    // Transient rungs integrate well past the driver's
+                    // Transient rungs simulate well past the driver's
                     // 50 % crossing; dense samples are decimated so the
                     // downstream QWM stage is not flooded with promoted
                     // breakpoints.

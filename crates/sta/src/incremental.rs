@@ -4,16 +4,16 @@
 //! flow that makes *repeated* analysis cheap — the sizing/optimization
 //! loop the paper targets — is not re-solving what didn't change. This
 //! module owns the state that makes the propagation core
-//! ([`StaEngine::propagate`], DESIGN.md §10) incremental:
+//! (`StaEngine::propagate`, DESIGN.md §10) incremental:
 //!
-//! * a [`Flow`] per incremental entry point — the **edit log** (stages
+//! * a `Flow` per incremental entry point — the **edit log** (stages
 //!   dirtied since the flow's last commit) and the **committed books**
-//!   ([`Committed`]) of its last analysis, surviving across runs;
+//!   (`Committed`) of its last analysis, surviving across runs;
 //! * a first-class **edit API** ([`Edit`], [`StaEngine::apply_edits`],
 //!   [`StaEngine::set_net_load`], [`StaEngine::set_input_slew`], plus
 //!   [`StaEngine::resize_device`]) that marks exactly the edited stages
 //!   dirty and surgically invalidates their cached arcs;
-//! * [`StaEngine::retime`], the driver behind
+//! * `StaEngine::retime`, the driver behind
 //!   [`StaEngine::run_incremental`] and
 //!   [`StaEngine::run_incremental_corners`]: it turns a flow's edit log
 //!   and committed books into the core's per-lane seed sets, and

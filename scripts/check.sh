@@ -157,4 +157,9 @@ cargo fmt --check
 stage "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Only rustdoc resolves intra-doc links: a doc comment that still links
+# to a deleted or private item compiles and lints clean.
+stage "cargo doc --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 stage "all checks passed"
