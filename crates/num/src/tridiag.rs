@@ -137,6 +137,38 @@ mod tests {
         }
     }
 
+    /// Solving into caller-owned scratch that still holds a previous
+    /// solve's values gives the same bits as a solve into fresh buffers:
+    /// no stale scratch leaks into the result.
+    #[test]
+    fn borrowed_solve_bitwise_matches_boxed() {
+        let (sub, diag, sup) = (
+            [-1.0, -2.0, 0.5, 1.0],
+            [4.0, 5.0, 6.0, 5.0, 4.0],
+            [1.0, -1.5, 2.0, -0.5],
+        );
+        let b = [1.0, -2.0, 3.0, -4.0, 5.0];
+        let boxed = solve(&sub, &diag, &sup, &b).unwrap();
+        let (mut c, mut x) = ([7.0; 5], [-3.0; 5]);
+        thomas_solve_into(
+            &sub,
+            &diag,
+            &sup,
+            &[5.0, 4.0, 3.0, 2.0, 1.0],
+            &mut c,
+            &mut x,
+        )
+        .unwrap();
+        thomas_solve_into(&sub, &diag, &sup, &b, &mut c, &mut x).unwrap();
+        for (a, e) in x.iter().zip(&boxed) {
+            assert_eq!(a.to_bits(), e.to_bits());
+        }
+        // Dimension checks on every slice argument.
+        assert!(thomas_solve_into(&[], &[], &[], &[], &mut [], &mut []).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b, &mut c[..4], &mut x).is_err());
+        assert!(thomas_solve_into(&sub, &diag, &sup, &b[..3], &mut c, &mut x).is_err());
+    }
+
     #[test]
     fn singular_detection() {
         assert!(matches!(
