@@ -63,6 +63,11 @@ stage "tracing-off golden identity (path4 CLI)"
 ./target/release/qwm testdata/path4.sp --slew 20 --threads 2 \
     > target/path4.cli.out 2>&1
 diff -u testdata/golden/path4.cli.golden target/path4.cli.out
+# Without --slew the CLI runs the step-input flow, which reports no
+# output slew line.
+./target/release/qwm testdata/path4.sp --threads 2 \
+    > target/path4.step.cli.out 2>&1
+diff -u testdata/golden/path4.step.cli.golden target/path4.step.cli.out
 
 # Observability gate, part 2: QWM_OBS=json emits one well-formed JSON
 # object per telemetry line, `qwm obs-report` accepts the stream, and

@@ -4,7 +4,8 @@
 //! The snapshot is rendered with [`qwm::sta::report::golden_report`]
 //! (sorted nets, `{:?}` floats — exact bit round-trips), so any diff is
 //! a real numeric change in the timing pipeline, not formatting noise.
-//! `arcs.golden` pins the arc layer underneath it the same way: each
+//! `step.report` pins the step-input flow the same way, and
+//! `arcs.golden` pins the arc layer underneath it: each
 //! evaluator's and each fallback rung's delay and slew bits on four
 //! cells. Re-bless intentionally changed numbers with:
 //!
@@ -13,6 +14,7 @@
 //! ```
 
 use qwm::circuit::cells;
+use qwm::circuit::netlist::Netlist;
 use qwm::circuit::parser::parse_netlist;
 use qwm::circuit::waveform::TransitionKind;
 use qwm::core::evaluate::QwmConfig;
@@ -39,6 +41,7 @@ const GOLDEN_CORNERS: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/testdata/golden/path4_corners.report"
 );
+const GOLDEN_STEP: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/golden/step.report");
 
 /// The degraded snapshot installs a process-global fault plan, so every
 /// test in this binary serializes on one mutex and starts from a clean
@@ -85,6 +88,34 @@ fn render_path4_degraded_report() -> String {
         .expect("ladder absorbs the injected faults");
     qwm::fault::clear();
     golden_report(&report, engine.netlist())
+}
+
+/// Renders the step-input flow (`StaEngine::run`) at `threads` workers:
+/// path4 under QWM and Elmore, then the 3-level decoder tree (one stage,
+/// eight leaf outputs) under QWM, each body headed by `design evaluator`.
+fn render_step_report(threads: usize) -> String {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/path4.sp"))
+        .expect("read path4.sp");
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let path4 = parse_netlist(&text).expect("parse path4.sp");
+    let tree = cells::decoder_tree_netlist(&tech, 3, 50e-6, 10e-15).expect("tree");
+    let qwm = QwmEvaluator::default();
+    let cases: [(&str, &Netlist, &str, &dyn StageEvaluator); 3] = [
+        ("path4", &path4, "qwm", &qwm),
+        ("path4", &path4, "elmore", &ElmoreEvaluator),
+        ("tree3", &tree, "qwm", &qwm),
+    ];
+    let mut out = String::new();
+    for (design, nl, label, ev) in cases {
+        let engine = StaEngine::new(nl.clone(), &models, TransitionKind::Fall)
+            .expect("engine")
+            .with_threads(threads);
+        let report = engine.run(ev).expect("step run");
+        writeln!(out, "design {design} {label}").expect("write to string");
+        out.push_str(&golden_report(&report, engine.netlist()));
+    }
+    out
 }
 
 fn assert_matches_golden(rendered: &str, path: &str) {
@@ -195,6 +226,19 @@ fn nominal_corner_body_is_byte_identical_to_the_classic_snapshot() {
         classic,
         "a single-corner tt sweep must render the classic bytes"
     );
+}
+
+/// The step-input flow's snapshot, identical at one and eight workers.
+#[test]
+fn step_report_matches_golden_snapshot() {
+    let _g = locked();
+    let rendered = render_step_report(1);
+    assert_eq!(
+        render_step_report(8),
+        rendered,
+        "step snapshot differs at 8 workers"
+    );
+    assert_matches_golden(&rendered, GOLDEN_STEP);
 }
 
 #[test]

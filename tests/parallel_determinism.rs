@@ -7,13 +7,18 @@
 //! these tests compare with exact `f64` equality — any epsilon would
 //! hide a real scheduling leak.
 
+use qwm::circuit::cells::decoder_tree_netlist;
+use qwm::circuit::netlist::Netlist;
 use qwm::circuit::parser::parse_netlist;
+use qwm::circuit::stage::DeviceKind;
 use qwm::circuit::waveform::TransitionKind;
 use qwm::core::evaluate::QwmConfig;
-use qwm::device::{analytic_models, ModelSet, Technology};
+use qwm::device::model::Geometry;
+use qwm::device::{analytic_models, parse_corner_list, CornerModels, ModelSet, Technology};
 use qwm::sta::engine::{StaEngine, TimingReport};
 use qwm::sta::evaluator::{ElmoreEvaluator, QwmEvaluator, SpiceEvaluator, StageEvaluator};
 use qwm::sta::graph::{inverter_chain, random_dag_netlist};
+use qwm::sta::{CornerRun, IncrementalStats};
 use std::collections::HashMap;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -205,4 +210,129 @@ fn resize_then_parallel_rerun_invalidates_the_right_caches() {
         v
     };
     assert_eq!(sorted(&incr.arrivals), sorted(&reference.arrivals));
+}
+
+/// The 3-level decoder tree (one stage, eight leaf outputs) with an
+/// inverter on every leaf: the tree stage's arcs run side by side and
+/// each has a successor stage.
+fn tree_with_leaf_inverters(tech: &Technology) -> Netlist {
+    let mut nl = decoder_tree_netlist(tech, 3, 50e-6, 10e-15).expect("tree");
+    let (vdd, gnd) = (nl.vdd(), nl.gnd());
+    let gn = Geometry::new(tech.w_min, tech.l_min);
+    let gp = Geometry::new(2.0 * tech.w_min, tech.l_min);
+    for i in 0..8 {
+        let leaf = nl.find_net(&format!("leaf{i}")).expect("leaf");
+        let y = nl.net(&format!("y{i}"));
+        nl.add_transistor(format!("MNI{i}"), DeviceKind::Nmos, leaf, y, gnd, gn);
+        nl.add_transistor(format!("MPI{i}"), DeviceKind::Pmos, leaf, vdd, y, gp);
+        nl.add_cap(y, 5e-15);
+        nl.add_primary_output(y);
+    }
+    nl
+}
+
+/// Arrivals, slews, worst endpoint and critical path, exactly: what an
+/// incremental run shares with a cold run (evaluation counts differ).
+fn assert_timing_identical(a: &TimingReport, b: &TimingReport, what: &str) {
+    let cold_counts = TimingReport {
+        evaluations: a.evaluations,
+        ..b.clone()
+    };
+    assert_reports_identical(a, &cold_counts, what);
+}
+
+#[test]
+fn multi_output_stage_is_deterministic_across_workers() {
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let nl = tree_with_leaf_inverters(&tech);
+    let stage_outputs = StaEngine::new(nl.clone(), &models, TransitionKind::Fall)
+        .expect("engine")
+        .graph()
+        .partitions()
+        .iter()
+        .map(|p| p.output_nets.len())
+        .max();
+    assert_eq!(stage_outputs, Some(8), "the tree stage drives eight leaves");
+    check_all_thread_counts(&nl, &models, "tree+inv/qwm/run", |e| {
+        e.run(&QwmEvaluator::default()).expect("run")
+    });
+    check_all_thread_counts(&nl, &models, "tree+inv/qwm/slew", |e| {
+        e.run_with_slew(&QwmEvaluator::default(), 20e-12)
+            .expect("run_with_slew")
+    });
+
+    let corners = parse_corner_list("ss,ff").expect("corners");
+    let corner_models = CornerModels::analytic(&tech, &corners);
+    let mut baseline: Option<Vec<TimingReport>> = None;
+    for threads in THREAD_COUNTS {
+        let engine = StaEngine::new(nl.clone(), corner_models.set(0), TransitionKind::Fall)
+            .expect("engine")
+            .with_threads(threads);
+        let evaluators = [QwmEvaluator::default(), QwmEvaluator::default()];
+        let runs: Vec<CornerRun> = corners
+            .iter()
+            .enumerate()
+            .map(|(i, c)| CornerRun {
+                name: c.interned_name(),
+                models: corner_models.set(i),
+                evaluator: &evaluators[i],
+            })
+            .collect();
+        let reports = engine.run_corners(&runs, 20e-12).expect("corners").reports;
+        match &baseline {
+            Some(base) => {
+                for (i, (b, r)) in base.iter().zip(&reports).enumerate() {
+                    let what = format!("tree+inv/corners/{} @ {threads} threads", runs[i].name);
+                    assert_reports_identical(b, r, &what);
+                }
+            }
+            None => baseline = Some(reports),
+        }
+    }
+}
+
+#[test]
+fn multi_output_stage_incremental_matches_cold_across_workers() {
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let nl = tree_with_leaf_inverters(&tech);
+    let slew = 20e-12;
+    let ev = QwmEvaluator::default();
+    // A pass device of the tree, then the inverter on leaf 3 (whose
+    // gate load re-bakes the tree stage).
+    let edits = ["M1_0_1", "MNI3"].map(|d| nl.find_device(d).expect("device"));
+    type Step = (TimingReport, IncrementalStats);
+    let mut baseline: Option<Vec<Step>> = None;
+    for threads in THREAD_COUNTS {
+        let mut engine = StaEngine::new(nl.clone(), &models, TransitionKind::Fall)
+            .expect("engine")
+            .with_threads(threads);
+        engine.set_input_slew(slew).expect("slew");
+        engine.run_incremental(&ev).expect("first run");
+        let mut steps = Vec::new();
+        for &device in &edits {
+            engine
+                .resize_device(device, 3.0 * tech.w_min)
+                .expect("resize");
+            let incr = engine.run_incremental(&ev).expect("incremental");
+            assert!(incr.evaluations >= 8, "the tree stage re-times every leaf");
+            let cold = StaEngine::new(engine.netlist().clone(), &models, TransitionKind::Fall)
+                .expect("engine")
+                .run_with_slew(&ev, slew)
+                .expect("cold");
+            let what = format!("tree+inv/incremental/{device} @ {threads} threads");
+            assert_timing_identical(&incr, &cold, &what);
+            steps.push((incr, engine.incremental_stats()));
+        }
+        match &baseline {
+            Some(base) => {
+                for ((b, bs), (r, rs)) in base.iter().zip(&steps) {
+                    assert_reports_identical(b, r, &format!("tree+inv/incremental @ {threads}"));
+                    assert_eq!(bs, rs, "incremental stats @ {threads} threads");
+                }
+            }
+            None => baseline = Some(steps),
+        }
+    }
 }
