@@ -1,15 +1,14 @@
-//! Scoped deterministic parallel runners over borrowed data.
+//! The scoped deterministic DAG runner over borrowed data.
 //!
 //! [`run_dag`] executes a dependency DAG with work-stealing scoped
 //! workers: a node is dispatched the instant its last predecessor
 //! completes (atomic in-degree countdown — no level barriers), released
 //! work goes to the finishing worker's own deque, and idle workers
-//! steal the oldest entry from a sibling. [`try_parallel_map`] is the
-//! degenerate no-dependency case with ordered result collection.
+//! steal the oldest entry from a sibling.
 //!
-//! Both runners take `Fn(worker, node)` closures over borrowed state
+//! The runner takes an `Fn(worker, node)` closure over borrowed state
 //! (`std::thread::scope`), so callers can share `&self` engines and
-//! keep *per-worker* scratch indexed by the worker id. Neither runner
+//! keep *per-worker* scratch indexed by the worker id. It never
 //! imposes an ordering on floating-point reductions: callers get
 //! determinism by making each task's writes a pure function of inputs
 //! that are committed before the task is released (see
@@ -37,7 +36,7 @@ pub fn default_threads() -> usize {
 }
 
 /// The machine's available parallelism (1 when undetectable).
-pub fn hardware_threads() -> usize {
+fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -226,126 +225,15 @@ where
     Ok(())
 }
 
-/// Maps `f(worker, index)` over `0..n` in parallel, returning results
-/// in index order. The assignment of indices to workers is dynamic;
-/// the output is position-stable regardless.
-///
-/// # Errors
-///
-/// The error from the smallest failing index (later indices may have
-/// run concurrently).
-///
-/// # Panics
-///
-/// Re-raises the first task panic after the run winds down.
-pub fn try_parallel_map<T, E, F>(threads: usize, n: usize, f: F) -> Result<Vec<T>, (usize, E)>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize, usize) -> Result<T, E> + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(f(0, i).map_err(|e| (i, e))?);
-        }
-        return Ok(out);
-    }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let trace_ctx = qwm_obs::trace::current();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (next, stop, slots, errors, panic, f) = (&next, &stop, &slots, &errors, &panic, &f);
-            scope.spawn(move || {
-                let _trace = qwm_obs::trace::adopt(trace_ctx);
-                // Per-worker scratch: results batch up locally and merge
-                // once, so the shared lock is taken O(1) times per worker.
-                let mut mine: Vec<(usize, T)> = Vec::new();
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(w, i))) {
-                        Ok(Ok(t)) => mine.push((i, t)),
-                        Ok(Err(e)) => {
-                            errors.lock().expect("map errors").push((i, e));
-                            stop.store(true, Ordering::Release);
-                        }
-                        Err(payload) => {
-                            let mut slot = panic.lock().expect("map panic");
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            stop.store(true, Ordering::Release);
-                        }
-                    }
-                }
-                slots.lock().expect("map slots").append(&mut mine);
-            });
-        }
-    });
-    if let Some(payload) = panic.into_inner().expect("map panic") {
-        resume_unwind(payload);
-    }
-    let mut errors = errors.into_inner().expect("map errors");
-    if let Some(pos) = (0..errors.len()).min_by_key(|&i| errors[i].0) {
-        return Err(errors.swap_remove(pos));
-    }
-    let mut pairs = slots.into_inner().expect("map slots");
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert!(pairs.iter().enumerate().all(|(k, &(i, _))| k == i));
-    Ok(pairs.into_iter().map(|(_, t)| t).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn map_orders_results() {
-        let out = try_parallel_map::<_, (), _>(4, 100, |_w, i| Ok(i * i)).unwrap();
-        assert_eq!(out.len(), 100);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i * i);
-        }
-    }
-
-    #[test]
-    fn map_surfaces_smallest_error() {
-        let err =
-            try_parallel_map::<usize, &str, _>(
-                4,
-                64,
-                |_w, i| {
-                    if i % 7 == 3 {
-                        Err("bad")
-                    } else {
-                        Ok(i)
-                    }
-                },
-            )
-            .unwrap_err();
-        // 3 is the smallest failing index a worker can reach first in
-        // the serial prefix; in parallel any failing index stops the
-        // run, but the reported one is the smallest captured.
-        assert!(err.0 % 7 == 3, "failing index, got {}", err.0);
-        assert_eq!(err.1, "bad");
-    }
-
-    #[test]
     fn dag_respects_dependencies() {
         use std::sync::atomic::AtomicU64;
         // 0 -> 1 -> 3, 0 -> 2 -> 3: record a completion stamp per node.
-        let lev = Levelizer::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let lev = Levelizer::from_succs(vec![vec![1, 2], vec![3], vec![3], vec![]]).unwrap();
         let clock = AtomicU64::new(0);
         let stamps: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
         run_dag::<(), _>(4, &lev, |_w, node| {

@@ -3,11 +3,11 @@
 //! A [`Levelizer`] turns a successor-list DAG into *dependency levels*:
 //! level 0 holds the nodes with no predecessors, and every other node
 //! sits one past its deepest predecessor (its longest-path depth). The
-//! levels are what a level-synchronous scheduler would barrier on; the
-//! runners in [`crate::dag`] deliberately do **not** barrier — they use
-//! the companion [`Countdown`] to release each node the instant its
-//! last predecessor completes — but the level structure still drives
-//! width statistics and cycle rejection.
+//! levels are what a level-synchronous scheduler would barrier on;
+//! [`crate::run_dag`] deliberately does **not** barrier — it uses the
+//! companion [`Countdown`] to release each node the instant its last
+//! predecessor completes — but the level structure still drives width
+//! statistics and cycle rejection.
 
 use crate::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,25 +112,6 @@ impl Levelizer {
         Self::from_succs(sub_succs)
     }
 
-    /// Levelizes an edge-list DAG over `n` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Levelizer::from_succs`].
-    pub fn from_edges(
-        n: usize,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Result<Self, ExecError> {
-        let mut succs = vec![Vec::new(); n];
-        for (u, v) in edges {
-            if u >= n {
-                return Err(ExecError::BadEdge { node: u, total: n });
-            }
-            succs[u].push(v);
-        }
-        Self::from_succs(succs)
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.succs.len()
@@ -143,25 +124,19 @@ impl Levelizer {
         &self.levels
     }
 
-    /// Widest level (1 for a pure chain; the whole graph when every
-    /// node is independent). Zero only for an empty graph.
-    pub fn max_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// In-degree (unique predecessors) per node.
-    pub fn indegree(&self) -> &[usize] {
+    pub(crate) fn indegree(&self) -> &[usize] {
         &self.indeg
     }
 
     /// Deduplicated successor lists.
-    pub fn succs(&self) -> &[Vec<usize>] {
+    pub(crate) fn succs(&self) -> &[Vec<usize>] {
         &self.succs
     }
 
     /// Records the level-width distribution into the observability
     /// layer (`exec.dag.level_width`). No-op when collection is off.
-    pub fn record_obs(&self) {
+    pub(crate) fn record_obs(&self) {
         if !qwm_obs::enabled() {
             return;
         }
@@ -177,13 +152,13 @@ impl Levelizer {
 /// call that takes the count to zero — exactly one, even under
 /// concurrent arrivals — reports the node as released.
 #[derive(Debug)]
-pub struct Countdown {
+pub(crate) struct Countdown {
     remaining: Vec<AtomicUsize>,
 }
 
 impl Countdown {
     /// Builds the countdown from per-node in-degrees.
-    pub fn new(indeg: &[usize]) -> Self {
+    pub(crate) fn new(indeg: &[usize]) -> Self {
         Countdown {
             remaining: indeg.iter().map(|&d| AtomicUsize::new(d)).collect(),
         }
@@ -195,15 +170,10 @@ impl Countdown {
     /// # Panics
     ///
     /// Panics (in debug builds) on more arrivals than the in-degree.
-    pub fn arrive(&self, node: usize) -> bool {
+    pub(crate) fn arrive(&self, node: usize) -> bool {
         let prev = self.remaining[node].fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "node {node} over-released");
         prev == 1
-    }
-
-    /// Whether `node` has no outstanding predecessors.
-    pub fn is_released(&self, node: usize) -> bool {
-        self.remaining[node].load(Ordering::Acquire) == 0
     }
 }
 
@@ -213,16 +183,16 @@ mod tests {
 
     #[test]
     fn chain_levels() {
-        let l = Levelizer::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let l = Levelizer::from_succs(vec![vec![1], vec![2], vec![3], vec![]]).unwrap();
         assert_eq!(l.levels(), &[vec![0], vec![1], vec![2], vec![3]]);
-        assert_eq!(l.max_width(), 1);
         assert_eq!(l.indegree(), &[0, 1, 1, 1]);
     }
 
     #[test]
     fn diamond_join_sits_past_deepest_pred() {
         // 0 -> {1, 2} -> 3, plus a long arm 0 -> 4 -> 2.
-        let l = Levelizer::from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (4, 2)]).unwrap();
+        let succs = vec![vec![1, 2, 4], vec![3], vec![3], vec![], vec![2]];
+        let l = Levelizer::from_succs(succs).unwrap();
         assert_eq!(l.levels()[0], vec![0]);
         // 2 waits for 4, so it levels below 1.
         assert_eq!(l.levels()[1], vec![1, 4]);
@@ -232,14 +202,14 @@ mod tests {
 
     #[test]
     fn duplicate_edges_coalesce() {
-        let l = Levelizer::from_edges(2, [(0, 1), (0, 1), (0, 1)]).unwrap();
+        let l = Levelizer::from_succs(vec![vec![1, 1, 1], vec![]]).unwrap();
         assert_eq!(l.indegree(), &[0, 1]);
         assert_eq!(l.succs()[0], vec![1]);
     }
 
     #[test]
     fn cycle_rejected() {
-        let err = Levelizer::from_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap_err();
+        let err = Levelizer::from_succs(vec![vec![1], vec![2], vec![0]]).unwrap_err();
         assert!(matches!(
             err,
             ExecError::Cycle {
@@ -248,16 +218,15 @@ mod tests {
             }
         ));
         // Self-loop is the degenerate cycle.
-        assert!(Levelizer::from_edges(1, [(0, 0)]).is_err());
+        assert!(Levelizer::from_succs(vec![vec![0]]).is_err());
     }
 
     #[test]
     fn out_of_range_edge_rejected() {
         assert!(matches!(
-            Levelizer::from_edges(2, [(0, 5)]),
+            Levelizer::from_succs(vec![vec![5], vec![]]),
             Err(ExecError::BadEdge { node: 5, total: 2 })
         ));
-        assert!(Levelizer::from_edges(2, [(7, 0)]).is_err());
     }
 
     #[test]
@@ -279,10 +248,30 @@ mod tests {
     }
 
     #[test]
+    fn countdown_releases_diamond_join_exactly_once() {
+        // Diamond: 0 -> {1, 2} -> 3.
+        let lev = Levelizer::from_succs(vec![vec![1, 2], vec![3], vec![3], vec![]]).unwrap();
+        assert_eq!(lev.indegree(), &[0, 1, 1, 2]);
+        let cd = Countdown::new(lev.indegree());
+        // Two concurrent arrivals at the join: exactly one reports release.
+        let releases = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (cd, releases) = (&cd, &releases);
+                s.spawn(move || {
+                    if cd.arrive(3) {
+                        releases.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(releases.load(Ordering::Relaxed), 1, "join released once");
+    }
+
+    #[test]
     fn empty_graph() {
         let l = Levelizer::from_succs(Vec::new()).unwrap();
         assert_eq!(l.node_count(), 0);
-        assert_eq!(l.max_width(), 0);
         assert!(l.levels().is_empty());
     }
 }

@@ -7,15 +7,13 @@
 //!
 //! * [`ThreadPool`] — a persistent work-stealing pool (shared injector
 //!   plus per-worker deques) for `'static` jobs, with panic containment.
-//! * [`Levelizer`] / [`Countdown`] — DAG levelization with cycle
-//!   rejection, and the atomic in-degree countdown that releases each
-//!   node exactly once when its last predecessor finishes.
-//! * [`run_dag`] / [`try_parallel_map`] — scoped runners over borrowed
-//!   data: stages dispatch the instant their fanin resolves (no level
-//!   barriers), and map results come back position-stable.
+//! * [`Levelizer`] — DAG levelization with cycle rejection.
+//! * [`run_dag`] — the scoped runner over borrowed data: a node
+//!   dispatches the instant its fanin resolves (an atomic in-degree
+//!   countdown, no level barriers).
 //! * [`ShardedMap`] — a lock-sharded memo map for value-stable caches.
 //!
-//! **Determinism contract.** The runners never impose an order on
+//! **Determinism contract.** The runner never imposes an order on
 //! floating-point reductions; instead callers make every task's writes
 //! a pure function of state committed *before* the task is released
 //! (the in-degree countdown guarantees the happens-before edge). Under
@@ -28,8 +26,8 @@ mod levelize;
 mod pool;
 mod sharded;
 
-pub use dag::{default_threads, hardware_threads, run_dag, try_parallel_map};
-pub use levelize::{Countdown, Levelizer};
+pub use dag::{default_threads, run_dag};
+pub use levelize::Levelizer;
 pub use pool::ThreadPool;
 pub use sharded::ShardedMap;
 

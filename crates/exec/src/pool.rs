@@ -50,11 +50,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns `threads` workers (clamped to at least one).
-    pub fn new(threads: usize) -> Self {
-        Self::new_with_init(threads, |_| {})
-    }
-
     /// Spawns `threads` workers (clamped to at least one), running
     /// `init(worker_index)` on each worker thread before it starts
     /// taking jobs. Used to pre-warm per-thread state (e.g. the QWM
@@ -91,11 +86,6 @@ impl ThreadPool {
         ThreadPool { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submits a job. Never blocks on job execution.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         {
@@ -108,11 +98,6 @@ impl ThreadPool {
             qwm_obs::counter!("exec.pool.submitted").incr();
         }
         self.shared.work_cv.notify_one();
-    }
-
-    /// Jobs submitted but not yet finished.
-    pub fn pending(&self) -> usize {
-        self.shared.state.lock().expect("pool state").pending
     }
 
     /// Blocks until every submitted job has finished.
@@ -234,8 +219,7 @@ mod tests {
 
     #[test]
     fn runs_jobs_and_waits() {
-        let pool = ThreadPool::new(4);
-        assert_eq!(pool.worker_count(), 4);
+        let pool = ThreadPool::new_with_init(4, |_| {});
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..64 {
             let hits = Arc::clone(&hits);
@@ -245,7 +229,6 @@ mod tests {
         }
         pool.wait().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(pool.pending(), 0);
     }
 
     #[test]
@@ -281,8 +264,11 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.worker_count(), 1);
+        let inits = Arc::new(Mutex::new(Vec::new()));
+        let i = Arc::clone(&inits);
+        let pool = ThreadPool::new_with_init(0, move |w| {
+            i.lock().unwrap().push(w);
+        });
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         pool.execute(move || {
@@ -290,5 +276,7 @@ mod tests {
         });
         pool.wait().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+        // The one worker ran its job, so its `init` already ran.
+        assert_eq!(*inits.lock().unwrap(), vec![0]);
     }
 }

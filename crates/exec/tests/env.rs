@@ -5,8 +5,13 @@
 //! Environment mutation is process-global, so every test holds one
 //! lock and restores the variable it found.
 
-use qwm_exec::{default_threads, hardware_threads};
+use qwm_exec::default_threads;
 use std::sync::{Mutex, MutexGuard};
+
+/// The hardware default: the machine's available parallelism.
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 static LOCK: Mutex<()> = Mutex::new(());
 

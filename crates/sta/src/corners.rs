@@ -179,7 +179,7 @@ impl<'m> StaEngine<'m> {
         let lanes = self.corner_lanes(runs);
         let out = {
             let _trace = qwm_obs::trace::TraceGuard::enter("sta.propagate_corners");
-            self.propagate(&lanes, input_slew, None)?
+            self.propagate(&lanes, Some(input_slew), None)?
         };
         Ok(CornerReport::from_reports(
             runs,

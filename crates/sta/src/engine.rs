@@ -1,30 +1,24 @@
 //! The static timing engine: one propagation core, critical paths and
 //! the edit API's cache invalidation.
 //!
-//! Arrival times propagate through the stage DAG; each stage
+//! Arrival times propagate through the stage DAG; each stage output
 //! contributes its worst-case evaluated delay (pluggable — QWM by
-//! default). Every slew-aware flow — [`StaEngine::run_with_slew`],
-//! [`StaEngine::run_dual`], [`StaEngine::run_incremental`],
-//! [`StaEngine::run_corners`], [`StaEngine::run_incremental_corners`] —
-//! is a thin wrapper over `StaEngine::propagate`: one levelized,
-//! dependency-driven traversal over a set of `Lane`s and a scope
-//! (whole graph, or the dirty cone of a prior commit book). Lane, scope,
-//! commit rule and the determinism argument are specified once, in
-//! DESIGN.md §10 "Propagation core"; every timing arc of every flow goes
-//! through one function and one cache, `StaEngine::arc_timing`.
+//! default). Every delay and slew flow — [`StaEngine::run`],
+//! [`StaEngine::run_with_slew`], [`StaEngine::run_dual`],
+//! [`StaEngine::run_incremental`], [`StaEngine::run_corners`],
+//! [`StaEngine::run_incremental_corners`] — is a thin wrapper over
+//! `StaEngine::propagate`: one levelized, dependency-driven traversal
+//! whose task is the timing arc (one stage output), over a set of
+//! `Lane`s and a scope (whole graph, or the dirty cone of a prior commit
+//! book). The step-input flow is a lane without a seed slew. Lane,
+//! scope, commit rule and the determinism argument are specified once,
+//! in DESIGN.md §10 "Propagation core"; every timing arc of every flow
+//! goes through one function and one cache, `StaEngine::arc_timing`.
 //!
-//! Two traversals deliberately stay outside the core:
-//!
-//! * [`StaEngine::run`] — under step inputs an arc's delay does not
-//!   depend on its arrival, so all arcs are one flat parallel map and
-//!   the arrivals a serial topological reduction. A per-stage DAG task
-//!   would serialize the arcs of a one-stage design (the decoder tree
-//!   is a single channel-connected component with 128 outputs). It
-//!   calls the shared arc function.
-//! * [`StaEngine::run_waveform`] — its payload is a full waveform per
-//!   net, uncached, with structural skips; it keeps its own traversal
-//!   but descends the shared fallback-ladder driver
-//!   (`evaluator::descend`).
+//! [`StaEngine::run_waveform`] alone stands apart: its payload is a full
+//! waveform per net, uncached, with structural skips. It runs on the
+//! same arc levelizer but keeps its own books, and descends the shared
+//! fallback-ladder driver (`evaluator::descend`).
 
 use crate::evaluator::{
     descend, failure_chain, stimulus, Degradation, FallbackRung, Rung, StageEvaluator, Switching,
@@ -35,7 +29,7 @@ use qwm_circuit::netlist::{NetId, Netlist};
 use qwm_circuit::stage::{InputId, NodeId};
 use qwm_circuit::waveform::{TimingMetrics, TransitionKind};
 use qwm_device::model::{Geometry, ModelSet};
-use qwm_exec::{Levelizer, ShardedMap};
+use qwm_exec::{ExecError, Levelizer, ShardedMap};
 use qwm_num::{NumError, Result};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -183,7 +177,7 @@ pub struct StaEngine<'m> {
     pub(crate) last_incremental: IncrementalStats,
 }
 
-/// Stage → level map for per-stage trace records, indexed by the
+/// Task → level map for per-arc-task trace records, indexed by the
 /// levelizer's local id. Built only when tracing is live (one
 /// allocation per run, nothing per record); `None` keeps the traced-off
 /// hot path free of any work.
@@ -199,9 +193,9 @@ fn trace_levels(lev: &Levelizer) -> Option<Vec<u64>> {
     })
 }
 
-/// Opens a per-stage trace scope inside a `run_dag` worker closure:
-/// the record carries the global `stage` id and the level of the
-/// levelizer's `local` id.
+/// Opens a trace scope for one arc task inside a `run_dag` worker
+/// closure: the record carries the global `stage` id and the level of
+/// the levelizer's `local` id.
 fn trace_stage(
     level_of: &Option<Vec<u64>>,
     stage: usize,
@@ -371,17 +365,37 @@ impl<'m> StaEngine<'m> {
         d
     }
 
-    /// The stage dependency DAG, levelized for the parallel runners.
-    fn levelizer(&self) -> Result<Levelizer> {
-        let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
-        Levelizer::from_succs(self.graph.stage_dependencies()).map_err(|e| {
-            // StageGraph::build already rejected cycles, so this only
-            // fires on internal bookkeeping bugs.
-            NumError::InvalidInput {
-                context: "StaEngine::levelizer",
-                detail: e.to_string(),
+    /// The arc DAG of the stages in `cone` (every stage when `None`),
+    /// levelized for `run_dag`, with each task's
+    /// `(stage, output position)`.
+    fn arc_levelizer(
+        &self,
+        cone: Option<&[usize]>,
+        context: &'static str,
+    ) -> Result<(Levelizer, Vec<(usize, usize)>)> {
+        let arcs = |s: usize| (0..self.graph.arcs(s).len()).map(move |o| (s, o));
+        let err = |e: ExecError| NumError::InvalidInput {
+            context,
+            detail: e.to_string(),
+        };
+        match cone {
+            None => {
+                let _t = qwm_obs::trace::TraceGuard::enter("sta.levelize");
+                let lev = Levelizer::from_succs(self.graph.arc_dependencies()).map_err(err)?;
+                Ok((lev, (0..self.graph.len()).flat_map(arcs).collect()))
             }
-        })
+            Some(cone) => {
+                // A re-run with nothing to re-time needs no edges.
+                let succs = if cone.is_empty() {
+                    Vec::new()
+                } else {
+                    self.graph.arc_dependencies()
+                };
+                let subset: Vec<usize> = cone.iter().flat_map(|&s| self.graph.arcs(s)).collect();
+                let lev = Levelizer::from_subgraph(&succs, &subset).map_err(err)?;
+                Ok((lev, cone.iter().flat_map(|&s| arcs(s)).collect()))
+            }
+        }
     }
 
     /// The unnamed lane of the single-model flows: the engine's own
@@ -483,8 +497,8 @@ impl<'m> StaEngine<'m> {
     }
 
     /// The propagation core (DESIGN.md §10): one dependency-driven
-    /// traversal of the levelized stage DAG that times every lane at
-    /// every stage in scope and returns each lane's committed book.
+    /// traversal of the levelized arc DAG that times every lane at
+    /// every arc in scope and returns each lane's committed book.
     ///
     /// Without a `prior` the scope is the whole graph over empty books
     /// and every stage evaluates. With one, the scope is the fanout
@@ -494,36 +508,26 @@ impl<'m> StaEngine<'m> {
     /// one stops the change there. Both are one rule — the cold run is
     /// the warm run on an empty book — so a warm book is bitwise the
     /// cold book of the edited circuit, at any worker count.
+    ///
+    /// A `seed_slew` of `None` is the step-input lane of [`Self::run`]:
+    /// every arc is timed without an input slew and commits a zero
+    /// output slew.
     pub(crate) fn propagate(
         &self,
         lanes: &[Lane],
-        seed_slew: f64,
+        seed_slew: Option<f64>,
         prior: Option<Prior>,
     ) -> Result<Propagated> {
         let (nets, stages) = (self.netlist.net_count(), self.graph.len());
-        let (lev, scope): (Levelizer, Vec<usize>) = match &prior {
-            None => (self.levelizer()?, (0..stages).collect()),
-            Some(p) => {
-                // One cone over the union of the lanes' seeds: a stage
-                // in it but outside lane l's own cone can never trigger
-                // for l (no seed of l reaches its fanins), so sharing
-                // the sub-levelizer preserves per-lane identity.
-                let cone = self.graph.fanout_cone(p.seeds.iter().flatten().copied());
-                // A re-run with nothing to re-time needs no edges.
-                let succs = if cone.is_empty() {
-                    Vec::new()
-                } else {
-                    self.graph.stage_dependencies()
-                };
-                let lev = Levelizer::from_subgraph(&succs, &cone).map_err(|e| {
-                    NumError::InvalidInput {
-                        context: p.context,
-                        detail: e.to_string(),
-                    }
-                })?;
-                (lev, cone)
-            }
-        };
+        // One cone over the union of the lanes' seeds: a stage in it
+        // but outside lane l's own cone can never trigger for l (no seed
+        // of l reaches its fanins), so sharing the sub-levelizer
+        // preserves per-lane identity.
+        let cone = prior
+            .as_ref()
+            .map(|p| self.graph.fanout_cone(p.seeds.iter().flatten().copied()));
+        let context = prior.as_ref().map_or("StaEngine::propagate", |p| p.context);
+        let (lev, tasks) = self.arc_levelizer(cone.as_deref(), context)?;
         let books: Vec<Vec<Mutex<Option<NetCommit>>>> = (0..lanes.len())
             .map(|l| match &prior {
                 Some(p) => p.books[l].iter().map(|&s| Mutex::new(s)).collect(),
@@ -535,7 +539,8 @@ impl<'m> StaEngine<'m> {
             .collect();
         // Primary inputs are committed by the seed, not by a stage:
         // (re-)seed them at the current slew.
-        let seeded = Some((0.0, seed_slew, NO_PRED));
+        let seed = seed_slew.unwrap_or(0.0);
+        let seeded = Some((0.0, seed, NO_PRED));
         let mut is_pi = vec![false; nets];
         for &pi in self.netlist.primary_inputs() {
             is_pi[pi.0] = true;
@@ -562,75 +567,68 @@ impl<'m> StaEngine<'m> {
         let arcs_requested = AtomicUsize::new(0);
         let early_stops = AtomicUsize::new(0);
         let level_of = trace_levels(&lev);
-        // Per-worker launch-point buffers: a fresh Vec per stage task
-        // costs ~0.5 µs of allocator traffic next to a ~10 µs arc.
-        let scratch: Vec<Mutex<Vec<_>>> = (0..self.threads).map(|_| Mutex::default()).collect();
-        qwm_exec::run_dag(self.threads, &lev, |w, local| -> Result<()> {
-            let gid = scope[local];
+        qwm_exec::run_dag(self.threads, &lev, |_w, local| -> Result<()> {
+            let (gid, pos) = tasks[local];
             let _stage = trace_stage(&level_of, gid, local);
             let part = self.graph.stage(StageId(gid));
-            // Every lane's launch point is read before the stage
-            // commits anything: run_dual's lanes read each other's
-            // books.
-            let mut launches = scratch[w].lock().expect("worker scratch");
-            launches.clear();
-            launches.extend(lanes.iter().enumerate().map(|(l, lane)| {
+            let net = part.output_nets[pos];
+            for (l, lane) in lanes.iter().enumerate() {
                 let from = lane.launch_from;
+                // The trigger rule reads only the stage's input nets,
+                // which are final before any arc of the stage is
+                // released, so every arc of a stage agrees on it.
                 let triggered = in_seeds.as_ref().is_none_or(|s| s[l][gid])
                     || part
                         .input_nets
                         .iter()
                         .any(|n| changed[from][n.0].load(Ordering::Relaxed));
-                // The latest-arriving input launches the stage and
-                // lends it its slew.
-                triggered.then(|| {
-                    part.input_nets
-                        .iter()
-                        .filter_map(|n| *books[from][n.0].lock().expect("net book"))
-                        .fold(
-                            (0.0_f64, seed_slew),
-                            |acc, (a, sl, _)| {
-                                if a > acc.0 {
-                                    (a, sl)
-                                } else {
-                                    acc
-                                }
-                            },
-                        )
-                })
-            }));
-            let outputs = part.output_nets.len();
-            for (l, (lane, launch)) in lanes.iter().zip(launches.iter()).enumerate() {
-                let Some((launch, launch_slew)) = *launch else {
+                if !triggered {
                     // Fanin state is bitwise what the prior book was
-                    // computed from: the old commits stand.
-                    early_stops.fetch_add(outputs, Ordering::Relaxed);
+                    // computed from: the old commit stands.
+                    early_stops.fetch_add(1, Ordering::Relaxed);
                     continue;
-                };
+                }
+                // The latest-arriving input launches the arc and lends
+                // it its slew.
+                let (launch, launch_slew) = part
+                    .input_nets
+                    .iter()
+                    .filter_map(|n| *books[from][n.0].lock().expect("net book"))
+                    .fold(
+                        (0.0_f64, seed),
+                        |acc, (a, sl, _)| {
+                            if a > acc.0 {
+                                (a, sl)
+                            } else {
+                                acc
+                            }
+                        },
+                    );
                 // Corner-scoped fault sites: a plan targeting
                 // "ss/qwm.region" degrades the ss lane alone.
                 let _scope = (!lane.corner.is_empty()).then(|| qwm_fault::scope(lane.corner));
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                arcs_requested.fetch_add(outputs, Ordering::Relaxed);
-                for (pos, &net) in part.output_nets.iter().enumerate() {
-                    let sid = StageId(gid);
-                    let m = self.arc_timing(lane, &lane_evals[l], sid, pos, Some(launch_slew))?;
-                    let arr = launch + m.delay;
-                    // The commit rule: a seeded primary-input entry
-                    // only loses to a later arrival; every other net
-                    // has this stage as its sole committer.
-                    let candidate = if arr > 0.0 || !is_pi[net.0] {
-                        Some((arr, m.slew, gid))
-                    } else {
-                        seeded
-                    };
-                    let mut slot = books[l][net.0].lock().expect("net book");
-                    if commit_eq(*slot, candidate) {
-                        early_stops.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        *slot = candidate;
-                        changed[l][net.0].store(true, Ordering::Relaxed);
-                    }
+                // A triggered stage counts once per lane.
+                if pos == 0 {
+                    evaluated.fetch_add(1, Ordering::Relaxed);
+                }
+                arcs_requested.fetch_add(1, Ordering::Relaxed);
+                let input_slew = seed_slew.map(|_| launch_slew);
+                let m = self.arc_timing(lane, &lane_evals[l], StageId(gid), pos, input_slew)?;
+                let arr = launch + m.delay;
+                // The commit rule: a seeded primary-input entry only
+                // loses to a later arrival; every other net has this
+                // arc as its sole committer.
+                let candidate = if arr > 0.0 || !is_pi[net.0] {
+                    Some((arr, m.slew, gid))
+                } else {
+                    seeded
+                };
+                let mut slot = books[l][net.0].lock().expect("net book");
+                if commit_eq(*slot, candidate) {
+                    early_stops.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    *slot = candidate;
+                    changed[l][net.0].store(true, Ordering::Relaxed);
                 }
             }
             Ok(())
@@ -648,7 +646,7 @@ impl<'m> StaEngine<'m> {
         let total: usize = evaluations.iter().sum();
         let stats = IncrementalStats {
             full_run: prior.is_none(),
-            dirty_stages: scope.len(),
+            dirty_stages: cone.map_or(stages, |c| c.len()),
             evaluated_stages: evaluated.into_inner(),
             reused_arcs: arcs_requested.into_inner() - total,
             early_stop_nets: early_stops.into_inner(),
@@ -747,12 +745,10 @@ impl<'m> StaEngine<'m> {
         Ok((worst, critical_path))
     }
 
-    /// Runs (or re-runs) the analysis, reusing every cached stage delay.
-    ///
-    /// Under step inputs a stage's delay is independent of its arrival
-    /// time, so all stage evaluations run as one parallel map; the
-    /// arrival reduction is then serial over the topological order —
-    /// deterministic by construction.
+    /// Runs (or re-runs) the step-input analysis, reusing every cached
+    /// stage delay: a one-lane propagation without a seed slew, so each
+    /// arc's delay is its step-input delay and the report carries no
+    /// slews. Bitwise-identical for any worker count.
     ///
     /// # Errors
     ///
@@ -760,55 +756,11 @@ impl<'m> StaEngine<'m> {
     pub fn run(&self, evaluator: &dyn StageEvaluator) -> Result<TimingReport> {
         let _span = qwm_obs::span!("sta.run");
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.run");
-        let lane = self.own_lane(evaluator, self.direction, 0);
-        let evaluations = AtomicUsize::new(0);
-        // Parallel phase: every (stage, output) delay.
-        let mut tasks: Vec<(StageId, usize)> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::with_capacity(self.graph.len());
-        for (i, p) in self.graph.partitions().iter().enumerate() {
-            offsets.push(tasks.len());
-            for pos in 0..p.output_nets.len() {
-                tasks.push((StageId(i), pos));
-            }
-        }
-        let delays = qwm_exec::try_parallel_map(self.threads, tasks.len(), |_w, t| {
-            let (sid, pos) = tasks[t];
-            self.arc_timing(&lane, &evaluations, sid, pos, None)
-                .map(|m| m.delay)
-        })
-        .map_err(|(_, e)| e)?;
-        // Serial reduction keyed by the topological stage order.
-        let mut arrivals: HashMap<NetId, f64> = HashMap::new();
-        let mut pred: HashMap<NetId, StageId> = HashMap::new();
-        for &pi in self.netlist.primary_inputs() {
-            arrivals.insert(pi, 0.0);
-        }
-        for &sid in self.graph.topo_order() {
-            let part = self.graph.stage(sid);
-            let launch = part
-                .input_nets
-                .iter()
-                .map(|n| arrivals.get(n).copied().unwrap_or(0.0))
-                .fold(0.0_f64, f64::max);
-            for (pos, &net) in part.output_nets.iter().enumerate() {
-                let arr = launch + delays[offsets[sid.0] + pos];
-                let entry = arrivals.entry(net).or_insert(f64::NEG_INFINITY);
-                if arr > *entry {
-                    *entry = arr;
-                    pred.insert(net, sid);
-                }
-            }
-        }
-        let (worst, critical_path) = self.worst_and_path(&arrivals, &pred)?;
-        Ok(TimingReport {
-            arrivals,
-            slews: HashMap::new(),
-            worst,
-            critical_path,
-            evaluations: evaluations.into_inner(),
-            waveform_failures: 0,
-            degradations: Self::drained_degradations(evaluator),
-        })
+        let lanes = [self.own_lane(evaluator, self.direction, 0)];
+        let out = self.propagate(&lanes, None, None)?;
+        let mut report = self.lane_reports(&lanes, &out)?.pop().expect("one lane");
+        report.slews.clear();
+        Ok(report)
     }
 
     /// Slew-aware analysis: each stage is evaluated with the exact
@@ -831,7 +783,7 @@ impl<'m> StaEngine<'m> {
         let _span = qwm_obs::span!("sta.run_with_slew");
         let _trace = qwm_obs::trace::TraceGuard::enter("sta.propagate");
         let lanes = [self.own_lane(evaluator, self.direction, 0)];
-        let out = self.propagate(&lanes, input_slew, None)?;
+        let out = self.propagate(&lanes, Some(input_slew), None)?;
         let mut reports = self.lane_reports(&lanes, &out)?;
         Ok(reports.pop().expect("one lane, one report"))
     }
@@ -895,7 +847,7 @@ impl<'m> StaEngine<'m> {
             self.own_lane(evaluator, TransitionKind::Fall, 1),
             self.own_lane(evaluator, TransitionKind::Rise, 0),
         ];
-        let out = self.propagate(&lanes, input_slew, None)?;
+        let out = self.propagate(&lanes, Some(input_slew), None)?;
         // Split the evaluator's provenance by the transition it was
         // recorded for, so each polarity report carries its own arcs.
         let (fall_deg, rise_deg): (Vec<Degradation>, Vec<Degradation>) =
@@ -923,8 +875,8 @@ impl<'m> StaEngine<'m> {
     /// delay/slew abstraction, and its own QWM output waveform feeds the
     /// next stage. Dual polarity, inverting arcs.
     ///
-    /// Dependency-driven parallel: a stage solves its two QWM
-    /// transitions once every fanin waveform is committed.
+    /// Dependency-driven parallel: each arc (one stage output) solves
+    /// its two QWM transitions once every fanin waveform is committed.
     ///
     /// This closes the residual gap the linear-ramp slew model leaves on
     /// weakly driven chains. No caching (waveforms are unique); cost is
@@ -970,162 +922,162 @@ impl<'m> StaEngine<'m> {
             *rise[pi.0].lock().expect("net book") =
                 Some((0.5 * ramp, Waveform::ramp_interned(0.0, ramp, 0.0, vdd)));
         }
-        let lev = self.levelizer()?;
+        let (lev, tasks) = self.arc_levelizer(None, "StaEngine::run_waveform")?;
         let level_of = trace_levels(&lev);
-        qwm_exec::run_dag(self.threads, &lev, |_w, s| -> Result<()> {
-            let _stage = trace_stage(&level_of, s, s);
+        qwm_exec::run_dag(self.threads, &lev, |_w, local| -> Result<()> {
+            let (s, pos) = tasks[local];
+            let _stage = trace_stage(&level_of, s, local);
             let sid = StageId(s);
             let part = self.graph.stage(sid);
-            for (&output_net, &node) in part.output_nets.iter().zip(part.stage.outputs()) {
-                for direction in [TransitionKind::Fall, TransitionKind::Rise] {
-                    // Inverting arc: output falls when inputs rise.
-                    let drivers = match direction {
-                        TransitionKind::Fall => &rise,
-                        TransitionKind::Rise => &fall,
-                    };
-                    // Latest-crossing driving input wins (worst case).
-                    let Some((t50, wf)) = part
-                        .input_nets
-                        .iter()
-                        .filter_map(|n| drivers[n.0].lock().expect("net book").clone())
-                        .max_by(|a, b| a.0.total_cmp(&b.0))
-                    else {
-                        continue;
-                    };
-                    // Sensitize the worst chain; gating inputs get the
-                    // real driving waveform, others stay inactive.
-                    let switching = Switching::Wave(&wf);
-                    let Ok((inputs, init, _, _)) =
-                        stimulus(&part.stage, self.models, node, direction, switching)
-                    else {
-                        continue;
-                    };
-                    // Fallback ladder: QWM → damped retry → adaptive →
-                    // fixed-step transient. A rung succeeds when it
-                    // yields a committed output waveform; exhausting
-                    // every rung is a hard error, never a silently
-                    // missing arc.
-                    let qwm_rung = |cfg: &qwm_core::evaluate::QwmConfig| -> Result<Waveform> {
-                        let r = evaluate(
+            let (output_net, node) = (part.output_nets[pos], part.stage.outputs()[pos]);
+            for direction in [TransitionKind::Fall, TransitionKind::Rise] {
+                // Inverting arc: output falls when inputs rise.
+                let drivers = match direction {
+                    TransitionKind::Fall => &rise,
+                    TransitionKind::Rise => &fall,
+                };
+                // Latest-crossing driving input wins (worst case).
+                let Some((t50, wf)) = part
+                    .input_nets
+                    .iter()
+                    .filter_map(|n| drivers[n.0].lock().expect("net book").clone())
+                    .max_by(|a, b| a.0.total_cmp(&b.0))
+                else {
+                    continue;
+                };
+                // Sensitize the worst chain; gating inputs get the
+                // real driving waveform, others stay inactive.
+                let switching = Switching::Wave(&wf);
+                let Ok((inputs, init, _, _)) =
+                    stimulus(&part.stage, self.models, node, direction, switching)
+                else {
+                    continue;
+                };
+                // Fallback ladder: QWM → damped retry → adaptive →
+                // fixed-step transient. A rung succeeds when it
+                // yields a committed output waveform; exhausting
+                // every rung is a hard error, never a silently
+                // missing arc.
+                let qwm_rung = |cfg: &qwm_core::evaluate::QwmConfig| -> Result<Waveform> {
+                    let r = evaluate(
+                        &part.stage,
+                        self.models,
+                        &inputs,
+                        &init,
+                        node,
+                        direction,
+                        cfg,
+                    )?;
+                    r.output_waveform().to_waveform(2)
+                };
+                let damped_rung = |_| {
+                    let mut damped = config.clone();
+                    damped.region.max_iterations *= 2;
+                    damped.region.max_dv *= 0.5;
+                    qwm_rung(&damped)
+                };
+                // Transient rungs simulate well past the driver's
+                // 50 % crossing; dense samples are decimated so the
+                // downstream QWM stage is not flooded with promoted
+                // breakpoints.
+                let t_stop = t50 + 2e-9;
+                let transient_rung = |adaptive: bool| -> Result<Waveform> {
+                    let r = if adaptive {
+                        qwm_spice::adaptive::simulate_adaptive(
                             &part.stage,
                             self.models,
                             &inputs,
                             &init,
-                            node,
+                            &qwm_spice::adaptive::AdaptiveConfig::new(t_stop),
+                        )?
+                    } else {
+                        qwm_spice::engine::simulate(
+                            &part.stage,
+                            self.models,
+                            &inputs,
+                            &init,
+                            &qwm_spice::engine::TransientConfig::hspice_1ps(t_stop),
+                        )?
+                    };
+                    let w = r.waveform(node)?;
+                    let s = w.samples();
+                    let (t0, t1) = (s[0].0, s[s.len() - 1].0);
+                    Waveform::from_samples(w.resample(t0, t1, 33)?)
+                };
+                let rungs: [Rung<'_, Waveform>; 4] = [
+                    (FallbackRung::Qwm, 1, &|_| qwm_rung(config)),
+                    (FallbackRung::QwmRetry, 1, &damped_rung),
+                    (FallbackRung::SpiceAdaptive, 1, &|_| transient_rung(true)),
+                    (FallbackRung::SpiceFixed, 1, &|_| transient_rung(false)),
+                ];
+                let warn = |rung: FallbackRung, e: &NumError| {
+                    qwm_obs::warn("sta.run_waveform.rung_failed")
+                        .field("stage", sid.0)
+                        .field("direction", format!("{direction:?}"))
+                        .field("rung", rung.name())
+                        .field("error", e)
+                        .emit();
+                };
+                // Arc trace: solve time covers the whole ladder;
+                // stale lookup attribution is discarded up front.
+                let arc_t0 = qwm_obs::trace::enabled().then(|| {
+                    let _ = qwm_obs::trace::take_lookup_ns();
+                    std::time::Instant::now()
+                });
+                let (landed, failures) = descend(&rungs, None, &warn);
+                let Some((rung, out_wf)) = landed else {
+                    qwm_obs::counter!("sta.waveform.exhausted").incr();
+                    return Err(NumError::InvalidInput {
+                        context: "StaEngine::run_waveform: all fallback rungs failed",
+                        detail: format!(
+                            "stage {} {:?} output {}: {}",
+                            sid.0,
                             direction,
-                            cfg,
-                        )?;
-                        r.output_waveform().to_waveform(2)
-                    };
-                    let damped_rung = |_| {
-                        let mut damped = config.clone();
-                        damped.region.max_iterations *= 2;
-                        damped.region.max_dv *= 0.5;
-                        qwm_rung(&damped)
-                    };
-                    // Transient rungs simulate well past the driver's
-                    // 50 % crossing; dense samples are decimated so the
-                    // downstream QWM stage is not flooded with promoted
-                    // breakpoints.
-                    let t_stop = t50 + 2e-9;
-                    let transient_rung = |adaptive: bool| -> Result<Waveform> {
-                        let r = if adaptive {
-                            qwm_spice::adaptive::simulate_adaptive(
-                                &part.stage,
-                                self.models,
-                                &inputs,
-                                &init,
-                                &qwm_spice::adaptive::AdaptiveConfig::new(t_stop),
-                            )?
-                        } else {
-                            qwm_spice::engine::simulate(
-                                &part.stage,
-                                self.models,
-                                &inputs,
-                                &init,
-                                &qwm_spice::engine::TransientConfig::hspice_1ps(t_stop),
-                            )?
-                        };
-                        let w = r.waveform(node)?;
-                        let s = w.samples();
-                        let (t0, t1) = (s[0].0, s[s.len() - 1].0);
-                        Waveform::from_samples(w.resample(t0, t1, 33)?)
-                    };
-                    let rungs: [Rung<'_, Waveform>; 4] = [
-                        (FallbackRung::Qwm, 1, &|_| qwm_rung(config)),
-                        (FallbackRung::QwmRetry, 1, &damped_rung),
-                        (FallbackRung::SpiceAdaptive, 1, &|_| transient_rung(true)),
-                        (FallbackRung::SpiceFixed, 1, &|_| transient_rung(false)),
-                    ];
-                    let warn = |rung: FallbackRung, e: &NumError| {
-                        qwm_obs::warn("sta.run_waveform.rung_failed")
-                            .field("stage", sid.0)
-                            .field("direction", format!("{direction:?}"))
-                            .field("rung", rung.name())
-                            .field("error", e)
-                            .emit();
-                    };
-                    // Arc trace: solve time covers the whole ladder;
-                    // stale lookup attribution is discarded up front.
-                    let arc_t0 = qwm_obs::trace::enabled().then(|| {
-                        let _ = qwm_obs::trace::take_lookup_ns();
-                        std::time::Instant::now()
+                            self.netlist.net_name(output_net),
+                            failure_chain(&failures)
+                        ),
                     });
-                    let (landed, failures) = descend(&rungs, None, &warn);
-                    let Some((rung, out_wf)) = landed else {
-                        qwm_obs::counter!("sta.waveform.exhausted").incr();
-                        return Err(NumError::InvalidInput {
-                            context: "StaEngine::run_waveform: all fallback rungs failed",
-                            detail: format!(
-                                "stage {} {:?} output {}: {}",
-                                sid.0,
-                                direction,
-                                self.netlist.net_name(output_net),
-                                failure_chain(&failures)
-                            ),
+                };
+                self.evaluations.fetch_add(1, Ordering::Relaxed);
+                qwm_obs::counter!("sta.arc.evaluations").incr();
+                if let Some(t0) = arc_t0 {
+                    qwm_obs::trace::record_arc(
+                        sid.0 as u64,
+                        rung.name(),
+                        t0,
+                        qwm_obs::trace::take_lookup_ns(),
+                        failures.len() as u64,
+                    );
+                }
+                if rung != FallbackRung::Qwm {
+                    self.waveform_failures.fetch_add(1, Ordering::Relaxed);
+                    qwm_obs::counter!("sta.waveform.failures").incr();
+                    qwm_obs::warn("sta.run_waveform.degraded")
+                        .field("stage", sid.0)
+                        .field("direction", format!("{direction:?}"))
+                        .field("rung", rung.name())
+                        .emit();
+                    self.waveform_degradations
+                        .lock()
+                        .expect("waveform degradations lock")
+                        .push(Degradation {
+                            output: self.netlist.net_name(output_net).to_string(),
+                            direction,
+                            landed: rung,
+                            failures,
                         });
-                    };
-                    self.evaluations.fetch_add(1, Ordering::Relaxed);
-                    qwm_obs::counter!("sta.arc.evaluations").incr();
-                    if let Some(t0) = arc_t0 {
-                        qwm_obs::trace::record_arc(
-                            sid.0 as u64,
-                            rung.name(),
-                            t0,
-                            qwm_obs::trace::take_lookup_ns(),
-                            failures.len() as u64,
-                        );
-                    }
-                    if rung != FallbackRung::Qwm {
-                        self.waveform_failures.fetch_add(1, Ordering::Relaxed);
-                        qwm_obs::counter!("sta.waveform.failures").incr();
-                        qwm_obs::warn("sta.run_waveform.degraded")
-                            .field("stage", sid.0)
-                            .field("direction", format!("{direction:?}"))
-                            .field("rung", rung.name())
-                            .emit();
-                        self.waveform_degradations
-                            .lock()
-                            .expect("waveform degradations lock")
-                            .push(Degradation {
-                                output: self.netlist.net_name(output_net).to_string(),
-                                direction,
-                                landed: rung,
-                                failures,
-                            });
-                    }
-                    let Some(t_out) = out_wf.crossing(vdd / 2.0, direction == TransitionKind::Rise)
-                    else {
-                        continue;
-                    };
-                    let book = match direction {
-                        TransitionKind::Fall => &fall,
-                        TransitionKind::Rise => &rise,
-                    };
-                    let mut slot = book[output_net.0].lock().expect("net book");
-                    if slot.as_ref().is_none_or(|(t, _)| t_out > *t) {
-                        *slot = Some((t_out, out_wf));
-                    }
+                }
+                let Some(t_out) = out_wf.crossing(vdd / 2.0, direction == TransitionKind::Rise)
+                else {
+                    continue;
+                };
+                let book = match direction {
+                    TransitionKind::Fall => &fall,
+                    TransitionKind::Rise => &rise,
+                };
+                let mut slot = book[output_net.0].lock().expect("net book");
+                if slot.as_ref().is_none_or(|(t, _)| t_out > *t) {
+                    *slot = Some((t_out, out_wf));
                 }
             }
             Ok(())

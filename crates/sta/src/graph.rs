@@ -39,6 +39,9 @@ pub struct StageGraph {
     /// Netlist device index → containing stage (`NONE` if none;
     /// devices never migrate between stages, so this is built once).
     device_stage: Vec<u32>,
+    /// `arc_at[s]..arc_at[s + 1]`: the timing arcs of stage `s`, one
+    /// per output net, numbered stage-major.
+    arc_at: Vec<usize>,
 }
 
 impl StageGraph {
@@ -118,6 +121,11 @@ impl StageGraph {
                 device_stage[d] = i as u32;
             }
         }
+        let mut arc_at = Vec::with_capacity(partitions.len() + 1);
+        arc_at.push(0);
+        for p in &partitions {
+            arc_at.push(arc_at[arc_at.len() - 1] + p.output_nets.len());
+        }
         let mut graph = StageGraph {
             partitions,
             driver,
@@ -126,6 +134,7 @@ impl StageGraph {
             user_inputs,
             topo: Vec::new(),
             device_stage,
+            arc_at,
         };
         graph.topo = graph.kahn()?;
         Ok(graph)
@@ -248,7 +257,6 @@ impl StageGraph {
     /// incremental re-timing may re-evaluate; early stop inside the
     /// cone can only shrink the actually-evaluated set.
     pub fn fanout_cone(&self, seeds: impl IntoIterator<Item = usize>) -> Vec<usize> {
-        let succs = self.stage_dependencies();
         let mut in_cone = vec![false; self.partitions.len()];
         let mut frontier: Vec<usize> = Vec::new();
         for s in seeds {
@@ -258,27 +266,33 @@ impl StageGraph {
             }
         }
         while let Some(s) = frontier.pop() {
-            for &t in &succs[s] {
+            self.for_each_successor(s, |t| {
                 if !in_cone[t] {
                     in_cone[t] = true;
                     frontier.push(t);
                 }
-            }
+            });
         }
         (0..in_cone.len()).filter(|&i| in_cone[i]).collect()
     }
 
-    /// Stage→stage dependency edges as deduplicated successor lists
-    /// (`succs[i]` holds every stage reading one of stage `i`'s output
-    /// nets), the input the parallel runners levelize.
-    pub fn stage_dependencies(&self) -> Vec<Vec<usize>> {
-        (0..self.partitions.len())
-            .map(|i| {
-                let mut s = Vec::new();
-                self.for_each_successor(i, |t| s.push(t));
-                s.sort_unstable();
-                s.dedup();
-                s
+    /// The timing arcs of stage `s`: arc `arcs(s).start + o` times the
+    /// stage's `output_nets[o]`.
+    pub(crate) fn arcs(&self, s: usize) -> std::ops::Range<usize> {
+        self.arc_at[s]..self.arc_at[s + 1]
+    }
+
+    /// Arc → arc dependency edges, the input `run_dag` levelizes: arc
+    /// (s, o) precedes every arc of every stage that reads
+    /// `output_nets[o]`.
+    pub(crate) fn arc_dependencies(&self) -> Vec<Vec<usize>> {
+        let outputs = self.partitions.iter().flat_map(|p| &p.output_nets);
+        outputs
+            .map(|&net| {
+                self.users_of(net)
+                    .iter()
+                    .flat_map(|u| self.arcs(u.0))
+                    .collect()
             })
             .collect()
     }

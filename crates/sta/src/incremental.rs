@@ -350,7 +350,7 @@ impl<'m> StaEngine<'m> {
         let out = match committed {
             None => {
                 let _trace = qwm_obs::trace::TraceGuard::enter(cold_trace);
-                self.propagate(lanes, seed_slew, None)?
+                self.propagate(lanes, Some(seed_slew), None)?
             }
             Some(c) => {
                 // Per-lane seed sets: the shared edit log, plus — when
@@ -379,7 +379,7 @@ impl<'m> StaEngine<'m> {
                     seeds: &seeds,
                     context,
                 };
-                self.propagate(lanes, seed_slew, Some(prior))?
+                self.propagate(lanes, Some(seed_slew), Some(prior))?
             }
         };
         let reports = self.lane_reports(lanes, &out)?;

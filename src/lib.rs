@@ -7,7 +7,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`num`] | LU / Thomas / Sherman–Morrison / Newton / fitting / interpolation |
+//! | [`num`] | LU / Thomas / Newton / polynomial fitting / Brent roots / statistics / RNG |
 //! | [`device`] | analytic + tabular MOSFET models, parasitic caps (Definition 2) |
 //! | [`circuit`] | logic stages (Definition 1), netlists, partitioning, waveforms, workloads |
 //! | [`spice`] | the HSPICE stand-in: fixed-step MNA transient (NR / successive chords) |
