@@ -43,14 +43,53 @@ fn hardware_threads() -> usize {
 struct DagShared<E> {
     locals: Vec<Mutex<VecDeque<usize>>>,
     countdown: Countdown,
-    /// Nodes finished (successfully or not). The run is over when this
-    /// reaches the node count or `stop` is raised.
+    /// Nodes finished (successfully or not) plus nodes skipped as
+    /// downstream of a failure. The run is over when this reaches the
+    /// node count or `stop` is raised (a task panicked).
     done: AtomicUsize,
     stop: AtomicBool,
-    errors: Mutex<Vec<(usize, E)>>,
+    failures: Mutex<Failures<E>>,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     idle: Mutex<()>,
     wake: Condvar,
+}
+
+/// The failed tasks of one run and the nodes they keep from running.
+struct Failures<E> {
+    /// The failing node with the smallest index, and its error.
+    first: Option<(usize, E)>,
+    /// Nodes downstream of a failure (empty until the first failure).
+    skipped: Vec<bool>,
+}
+
+impl<E> Failures<E> {
+    fn new() -> Self {
+        Failures {
+            first: None,
+            skipped: Vec::new(),
+        }
+    }
+
+    /// Records `node`'s error and marks every node downstream of it as
+    /// skipped; returns how many were newly marked. No such node can
+    /// ever be released, because `node` never arrives at its successors.
+    fn record(&mut self, lev: &Levelizer, node: usize, e: E) -> usize {
+        if self.first.as_ref().is_none_or(|(n, _)| node < *n) {
+            self.first = Some((node, e));
+        }
+        if self.skipped.is_empty() {
+            self.skipped = vec![false; lev.node_count()];
+        }
+        let mut stack = lev.succs()[node].clone();
+        let mut marked = 0;
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut self.skipped[n], true) {
+                marked += 1;
+                stack.extend_from_slice(&lev.succs()[n]);
+            }
+        }
+        marked
+    }
 }
 
 fn dag_pop<E>(shared: &DagShared<E>, me: usize) -> Option<usize> {
@@ -100,6 +139,7 @@ fn dag_worker<E: Send, F: Fn(usize, usize) -> Result<(), E> + Sync>(
         if let Some(t0) = started {
             busy_ns += t0.elapsed().as_nanos() as u64;
         }
+        let mut finished = 1;
         match outcome {
             Ok(Ok(())) => {
                 let mut released = 0usize;
@@ -125,9 +165,13 @@ fn dag_worker<E: Send, F: Fn(usize, usize) -> Result<(), E> + Sync>(
                 }
             }
             Ok(Err(e)) => {
-                shared.errors.lock().expect("dag errors").push((node, e));
-                shared.stop.store(true, Ordering::Release);
-                shared.wake.notify_all();
+                // Siblings keep running; only this node's downstream
+                // cone is skipped.
+                finished += shared
+                    .failures
+                    .lock()
+                    .expect("dag failures")
+                    .record(lev, node, e);
             }
             Err(payload) => {
                 let mut slot = shared.panic.lock().expect("dag panic");
@@ -138,7 +182,7 @@ fn dag_worker<E: Send, F: Fn(usize, usize) -> Result<(), E> + Sync>(
                 shared.wake.notify_all();
             }
         }
-        if shared.done.fetch_add(1, Ordering::AcqRel) + 1 >= total {
+        if shared.done.fetch_add(finished, Ordering::AcqRel) + finished >= total {
             shared.wake.notify_all();
         }
     }
@@ -150,14 +194,15 @@ fn dag_worker<E: Send, F: Fn(usize, usize) -> Result<(), E> + Sync>(
 /// Runs every node of the levelized DAG through `f(worker, node)`,
 /// dispatching each node as soon as its last predecessor finishes.
 ///
-/// On success every node ran exactly once. On failure the error from
-/// the smallest failing node index is returned (concurrent siblings
-/// may or may not have run — their side effects must be idempotent or
-/// discarded by the caller) and no successor of a failed node runs.
+/// On success every node ran exactly once. A failing task does not stop
+/// the run: every node that is not downstream of a failed node still
+/// runs exactly once, and no successor of a failed node runs. Which
+/// nodes run, and so which error is returned, is the same at any worker
+/// count.
 ///
 /// # Errors
 ///
-/// The first (smallest-node) task error.
+/// The error of the failing node with the smallest index.
 ///
 /// # Panics
 ///
@@ -178,22 +223,26 @@ where
         // Single worker: same dispatch discipline without thread spawns.
         let countdown = Countdown::new(lev.indegree());
         let mut queue: VecDeque<usize> = (0..total).filter(|&n| lev.indegree()[n] == 0).collect();
+        let mut failures = Failures::new();
         while let Some(node) = queue.pop_front() {
-            f(0, node).map_err(|e| (node, e))?;
+            if let Err(e) = f(0, node) {
+                failures.record(lev, node, e);
+                continue;
+            }
             for &succ in &lev.succs()[node] {
                 if countdown.arrive(succ) {
                     queue.push_back(succ);
                 }
             }
         }
-        return Ok(());
+        return failures.first.map_or(Ok(()), Err);
     }
     let shared = DagShared::<E> {
         locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         countdown: Countdown::new(lev.indegree()),
         done: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
-        errors: Mutex::new(Vec::new()),
+        failures: Mutex::new(Failures::new()),
         panic: Mutex::new(None),
         idle: Mutex::new(()),
         wake: Condvar::new(),
@@ -218,11 +267,8 @@ where
     if let Some(payload) = shared.panic.into_inner().expect("dag panic") {
         resume_unwind(payload);
     }
-    let mut errors = shared.errors.into_inner().expect("dag errors");
-    if let Some(pos) = (0..errors.len()).min_by_key(|&i| errors[i].0) {
-        return Err(errors.swap_remove(pos));
-    }
-    Ok(())
+    let failures = shared.failures.into_inner().expect("dag failures");
+    failures.first.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -245,5 +291,54 @@ mod tests {
         assert!(s.iter().all(|&v| v > 0), "all nodes ran: {s:?}");
         assert!(s[0] < s[1] && s[0] < s[2]);
         assert!(s[3] > s[1] && s[3] > s[2]);
+    }
+
+    #[test]
+    fn dag_error_is_the_smallest_failing_node_at_any_width() {
+        // 0 -> 1 -> 2 and 9 -> 10 -> 11 <- 4 <- 3; 3 -> 5 and
+        // 6 -> 7 -> 8 are independent. Node 0 fails late, node 9 fails
+        // at once, so a schedule-dependent runner would report 9.
+        let succs = vec![
+            vec![1],
+            vec![2],
+            vec![],
+            vec![4, 5],
+            vec![11],
+            vec![],
+            vec![7],
+            vec![8],
+            vec![],
+            vec![10],
+            vec![11],
+            vec![],
+        ];
+        let lev = Levelizer::from_succs(succs).unwrap();
+        let downstream = [1, 2, 10, 11];
+        for threads in [1, 2, 4, 8] {
+            for round in 0..20 {
+                let ran: Vec<AtomicUsize> = (0..12).map(|_| AtomicUsize::new(0)).collect();
+                let err = run_dag(threads, &lev, |_w, node| {
+                    ran[node].fetch_add(1, Ordering::SeqCst);
+                    match node {
+                        0 => {
+                            std::thread::sleep(Duration::from_millis(2));
+                            Err("late")
+                        }
+                        9 => Err("early"),
+                        _ => Ok(()),
+                    }
+                })
+                .unwrap_err();
+                assert_eq!(err, (0, "late"), "{threads} workers, round {round}");
+                for (node, count) in ran.iter().enumerate() {
+                    let want = usize::from(!downstream.contains(&node));
+                    assert_eq!(
+                        count.load(Ordering::SeqCst),
+                        want,
+                        "node {node}, {threads} workers, round {round}"
+                    );
+                }
+            }
+        }
     }
 }

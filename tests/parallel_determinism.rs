@@ -212,6 +212,33 @@ fn resize_then_parallel_rerun_invalidates_the_right_caches() {
     assert_eq!(sorted(&incr.arrivals), sorted(&reference.arrivals));
 }
 
+/// A failing run names the same arc at any worker count. `run_dual`
+/// cannot time the NMOS-only decoder tree (no pull-up path), so every
+/// leaf arc fails; the error must be the lowest arc's, not the one a
+/// schedule happened to finish first.
+#[test]
+fn dual_polarity_error_is_the_same_across_workers() {
+    let tech = Technology::cmosp35();
+    let models = analytic_models(&tech);
+    let nl = decoder_tree_netlist(&tech, 3, 50e-6, 10e-15).expect("tree");
+    let mut baseline: Option<String> = None;
+    for threads in THREAD_COUNTS {
+        let engine = StaEngine::new(nl.clone(), &models, TransitionKind::Fall)
+            .expect("engine")
+            .with_threads(threads);
+        for round in 0..5 {
+            let err = engine
+                .run_dual(&QwmEvaluator::default(), 15e-12)
+                .expect_err("run_dual has no pull-up path to time")
+                .to_string();
+            match &baseline {
+                Some(base) => assert_eq!(base, &err, "{threads} threads, round {round}"),
+                None => baseline = Some(err),
+            }
+        }
+    }
+}
+
 /// The 3-level decoder tree (one stage, eight leaf outputs) with an
 /// inverter on every leaf: the tree stage's arcs run side by side and
 /// each has a successor stage.
