@@ -1,11 +1,11 @@
-//! Shared harness for regenerating every table and figure of the paper.
+//! The paper harness: shared machinery for regenerating every table and
+//! figure of the paper.
 //!
 //! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §4
 //! for the index); this library holds the common machinery: engine
 //! comparison rows, deterministic workloads, wall-clock measurement and
-//! gnuplot-ready data dumps under `target/experiments/`.
-
-pub mod capacity;
+//! gnuplot-ready data dumps under `target/experiments/`. Served-system
+//! performance is measured by `benchmark/`, not here.
 
 use qwm::circuit::cells;
 use qwm::circuit::stage::{LogicStage, NodeId};

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// Kept in a thread local so consecutive arcs evaluated on one worker —
 /// a `qwm-exec` DAG worker or server pool thread — reuse the same
 /// buffers; steady-state arc evaluation then allocates only its result
-/// vectors (DESIGN.md §16).
+/// vectors (DESIGN.md §15).
 #[derive(Debug, Default)]
 struct EvalScratch {
     solve: SolveScratch,
@@ -319,7 +319,7 @@ fn evaluate_with(
     // One workspace for every region solve and capacitance merge of
     // this evaluation — the buffers live in the worker's thread-local
     // `EvalScratch`, so they grow to the chain length once and are
-    // reused across every arc this worker evaluates (DESIGN.md §16).
+    // reused across every arc this worker evaluates (DESIGN.md §15).
     let EvalScratch {
         solve: scratch,
         cand,

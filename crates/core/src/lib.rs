@@ -54,7 +54,7 @@
 //! # }
 //! ```
 
-// The hot path must not clone what a borrow can serve (DESIGN.md Â§16);
+// The hot path must not clone what a borrow can serve (DESIGN.md §15);
 // redundant_clone is allow-by-default upstream, denied here.
 #![deny(clippy::redundant_clone)]
 

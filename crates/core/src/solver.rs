@@ -132,7 +132,7 @@ impl RegionSolution {
     }
 }
 
-/// Reusable workspace for the region solve (DESIGN.md §16).
+/// Reusable workspace for the region solve (DESIGN.md §15).
 ///
 /// One `SolveScratch` holds every intermediate buffer a Newton region
 /// solve needs — Jacobian bands, Thomas scratch, finite-difference probe
@@ -1139,7 +1139,7 @@ mod tests {
     /// solves — including after a *different* end condition dirtied the
     /// buffers — must reproduce the allocating `solve_region` to the
     /// last bit. This is the whole determinism contract of the
-    /// workspace path (DESIGN.md §16).
+    /// workspace path (DESIGN.md §15).
     #[test]
     fn reused_scratch_is_bitwise_identical_to_fresh() {
         let tech = Technology::cmosp35();

@@ -1,4 +1,4 @@
-//! Steady-state allocation contract for the kernel (DESIGN.md §16):
+//! Steady-state allocation contract for the kernel (DESIGN.md §15):
 //! once a `SolveScratch`/`RegionSolution` pair has been warmed on a
 //! chain, repeated `solve_region_into` calls must allocate **zero**
 //! times — not "few", zero. A counting global allocator makes the

@@ -580,130 +580,6 @@ pub fn html_report(title: &str, text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds a self-contained HTML capacity report (inline CSS, no
-/// scripts, no external assets) from a `BENCH_capacity_server.json`
-/// document (`schema: "qwm.capacity.*"`): one section per workload
-/// with its ramp/search rounds, achieved-rps bars, latency percentiles,
-/// the queue-wait vs solve split, and the tripped stop thresholds.
-///
-/// # Errors
-///
-/// Returns a diagnostic if `text` is not valid JSON or lacks the
-/// capacity schema tag / `workloads` array. Unknown fields are ignored
-/// so newer schema revisions still render.
-pub fn capacity_html(title: &str, text: &str) -> Result<String, String> {
-    let doc = parse_json(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\" field")?;
-    if !schema.starts_with("qwm.capacity.") {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let Some(Json::Arr(workloads)) = doc.get("workloads") else {
-        return Err("missing \"workloads\" array".to_string());
-    };
-
-    let mut out = String::new();
-    out.push_str("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>{}</title>", html_escape(title));
-    out.push_str(
-        "<style>\n\
-         body{font-family:monospace;margin:1.5em;background:#fafafa;color:#222}\n\
-         h1{font-size:1.3em}h2{font-size:1.1em;margin-top:1.4em;border-bottom:1px solid #ccc}\n\
-         table{border-collapse:collapse;margin:.5em 0}\n\
-         td,th{border:1px solid #ddd;padding:2px 8px;text-align:right}\n\
-         td:first-child,th:first-child{text-align:left}\n\
-         .bar{display:inline-block;height:9px;background:#6baed6}\n\
-         .max{font-size:1.05em;font-weight:bold;margin:.4em 0}\n\
-         tr.bad td{background:#fde3e3}\n\
-         .stop{color:#c00;text-align:left}\n\
-         .meta{color:#666;margin:.2em 0}\n\
-         </style></head><body>\n",
-    );
-    let _ = writeln!(out, "<h1>{}</h1>", html_escape(title));
-    let _ = writeln!(
-        out,
-        "<div class=\"meta\">schema {} &middot; seed {}</div>",
-        html_escape(schema),
-        fmt_num(doc.field_f64("seed"))
-    );
-
-    for w in workloads {
-        let name = w.field_str("name");
-        let _ = writeln!(out, "<h2>workload {}</h2>", html_escape(&name));
-        let saturated = matches!(w.get("saturated"), Some(Json::Bool(true)));
-        let _ = writeln!(
-            out,
-            "<div class=\"max\">max sustainable: {} rps{}</div>",
-            fmt_num(w.field_f64("max_sustainable_rps")),
-            if saturated {
-                ""
-            } else {
-                " (never saturated &mdash; raise max_rps)"
-            }
-        );
-        let thresholds = w.get("thresholds");
-        let threshold = |key: &str| thresholds.map_or(0.0, |t| t.field_f64(key));
-        let _ = writeln!(
-            out,
-            "<div class=\"meta\">deck {} &middot; {} sessions &middot; {} connections \
-             &middot; ramp {}+{} up to {} rps &middot; {} ms rounds &middot; stop at \
-             fail_rate &gt; {}, median &gt; {} ms, rejects &gt; {}</div>",
-            html_escape(&w.field_str("deck")),
-            fmt_num(w.field_f64("sessions")),
-            fmt_num(w.field_f64("connections")),
-            fmt_num(w.field_f64("initial_rps")),
-            fmt_num(w.field_f64("increment_rps")),
-            fmt_num(w.field_f64("max_rps")),
-            fmt_num(w.field_f64("round_ms")),
-            fmt_num(threshold("fail_rate")),
-            fmt_num(threshold("median_ms")),
-            fmt_num(threshold("reject_fraction")),
-        );
-        let Some(Json::Arr(rounds)) = w.get("rounds") else {
-            out.push_str("<p>(no rounds recorded)</p>\n");
-            continue;
-        };
-        out.push_str(
-            "<table><tr><th>phase</th><th>target rps</th><th>achieved</th><th></th>\
-             <th>ok</th><th>fail</th><th>429</th><th>p50</th><th>p95</th>\
-             <th>wait p50</th><th>solve p50</th><th>stop</th></tr>\n",
-        );
-        let rps_max = rounds
-            .iter()
-            .map(|r| r.field_f64("achieved_rps"))
-            .fold(1.0_f64, f64::max);
-        for r in rounds {
-            let good = matches!(r.get("good"), Some(Json::Bool(true)));
-            let bar = (r.field_f64("achieved_rps") / rps_max * 180.0).clamp(1.0, 180.0);
-            let _ = writeln!(
-                out,
-                "<tr{}><td>{}</td><td>{}</td><td>{:.1}</td>\
-                 <td><span class=\"bar\" style=\"width:{bar:.0}px\"></span></td>\
-                 <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-                 <td>{}</td><td>{}</td><td class=\"stop\">{}</td></tr>",
-                if good { "" } else { " class=\"bad\"" },
-                html_escape(&r.field_str("phase")),
-                fmt_num(r.field_f64("target_rps")),
-                r.field_f64("achieved_rps"),
-                fmt_num(r.field_f64("ok")),
-                fmt_num(r.field_f64("failures")),
-                fmt_num(r.field_f64("rejected")),
-                fmt_ns(r.field_f64("p50_us") * 1e3),
-                fmt_ns(r.field_f64("p95_us") * 1e3),
-                fmt_ns(r.field_f64("wait_p50_us") * 1e3),
-                fmt_ns(r.field_f64("solve_p50_us") * 1e3),
-                html_escape(&r.field_str("stop")),
-            );
-        }
-        out.push_str("</table>\n");
-    }
-
-    out.push_str("</body></html>\n");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
 //! Minimal blocking client for the `qwm-serve` protocol, used by the
-//! load generator, the integration tests, and scripting.
+//! benchmark's load generator (`benchmark/`), the integration tests,
+//! and scripting.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

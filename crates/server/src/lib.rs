@@ -204,7 +204,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         // Pool workers are long-lived and each query evaluates many
         // arcs: pre-size every worker's thread-local QWM workspace so
-        // even a worker's first arc allocates nothing (DESIGN.md §16).
+        // even a worker's first arc allocates nothing (DESIGN.md §15).
         // 8 covers the deepest stacks in the supported cell set.
         let pool = ThreadPool::new_with_init(cfg.max_inflight.max(1), |_w| {
             qwm_sta::warm_worker(8);

@@ -124,7 +124,7 @@ pub(crate) fn stimulus(
     };
     // Interned constructors: identical-slew arcs across the netlist
     // share one parsed piecewise input instead of re-allocating it
-    // per arc (DESIGN.md §16).
+    // per arc (DESIGN.md §15).
     let (active, t_ref) = match switching {
         Switching::Slew(None) => (Waveform::step_interned(0.0, g0, g1), 0.0),
         Switching::Slew(Some(input_slew)) => {

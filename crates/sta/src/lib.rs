@@ -56,5 +56,5 @@ pub use snapshot::{CommitSnapshot, CornerCommitSnapshot};
 /// Re-export of [`qwm_core::evaluate::warm_worker`] for embedders that
 /// run STA queries on long-lived worker threads (e.g. the `qwm-server`
 /// pool): call it from each worker's start-up hook to pre-size the
-/// thread-local QWM evaluation workspace (DESIGN.md §16).
+/// thread-local QWM evaluation workspace (DESIGN.md §15).
 pub use qwm_core::evaluate::warm_worker;

@@ -7,7 +7,7 @@
 //! persists exactly that state in an append-only, checksummed,
 //! single-file record log so a killed-and-restarted server answers
 //! its first query via the dirty-cone incremental path with reports
-//! bitwise-identical to a never-restarted reference (DESIGN.md §17).
+//! bitwise-identical to a never-restarted reference (DESIGN.md §16).
 //!
 //! Layers, bottom up:
 //!

@@ -33,9 +33,8 @@ done
 stage "cargo test -q"
 cargo test -q
 
-# qwm-bench is outside default-members, so its suites (capacity deck
-# parsing, replay determinism, schema/compare gate, bounded live ramps)
-# need an explicit invocation.
+# qwm-bench is outside default-members, so its suite (the paper
+# harness's shared rows and workloads) needs an explicit invocation.
 stage "cargo test -q -p qwm-bench"
 cargo test -q -p qwm-bench
 
@@ -80,67 +79,6 @@ test -s target/path4.obs.jsonl
 ./target/release/qwm obs-report target/path4.obs.jsonl \
     --out target/path4.obs.html --title "path4 telemetry"
 test -s target/path4.obs.html
-
-# Capacity gate: a bounded ramp (tiny rps bounds, short rounds, its own
-# ephemeral-port server) must converge on both stock workload decks,
-# emit a BENCH_capacity_server.json that self-compares clean, and
-# render a self-contained HTML capacity report. The real discovery run
-# (stock deck bounds, minutes of wall clock) stays behind
-# QWM_CAPACITY_FULL=1.
-stage "capacity smoke (server_capacity ramp + compare + HTML)"
-rm -f target/capacity_smoke.out
-./target/release/qwm serve --addr 127.0.0.1:0 --max-inflight 8 \
-    > target/capacity_smoke.out 2>&1 &
-CAP_PID=$!
-CAP_ADDR=""
-for _ in $(seq 1 100); do
-    CAP_ADDR=$(sed -n 's/^listening on //p' target/capacity_smoke.out)
-    [ -n "$CAP_ADDR" ] && break
-    sleep 0.1
-done
-if [ -z "$CAP_ADDR" ]; then
-    echo "capacity server never reported its address" >&2
-    kill "$CAP_PID" 2>/dev/null || true
-    exit 1
-fi
-if [ "${QWM_CAPACITY_FULL:-0}" = "1" ]; then
-    ./target/release/server_capacity --addr "$CAP_ADDR" \
-        --workload testdata/workloads/heavy_run.deck \
-        --workload testdata/workloads/mixed.deck \
-        --shutdown --out BENCH_capacity_server.json
-else
-    ./target/release/server_capacity --addr "$CAP_ADDR" \
-        --workload testdata/workloads/heavy_run.deck \
-        --workload testdata/workloads/mixed.deck \
-        --initial-rps 5 --increment-rps 5 --max-rps 20 \
-        --round-ms 300 --sessions 2 --connections 2 \
-        --shutdown --out BENCH_capacity_server.json
-fi
-wait "$CAP_PID"
-grep -q '^drained$' target/capacity_smoke.out
-grep -q '"schema": "qwm.capacity.v1"' BENCH_capacity_server.json
-grep -q '"max_sustainable_rps"' BENCH_capacity_server.json
-grep -q '"wait_p50_us"' BENCH_capacity_server.json
-# The artifact must self-compare clean (the cross-PR gate's pass path;
-# its fail path is pinned by the qwm-bench test suite), and the planned
-# op log must be deterministic (the replay contract, end to end).
-./target/release/server_capacity compare \
-    BENCH_capacity_server.json BENCH_capacity_server.json
-# Cross-PR capacity gate: the fresh smoke artifact must not regress
-# more than 75% against the committed baseline (the smoke bounds are
-# tiny and time-boxed, so the generous margin absorbs machine noise
-# while still catching order-of-magnitude collapses).
-./target/release/server_capacity compare \
-    testdata/baseline/BENCH_capacity_server.json BENCH_capacity_server.json \
-    --max-regression-pct 75
-./target/release/server_capacity plan \
-    --workload testdata/workloads/mixed.deck --rps 20 > target/capacity_plan.a
-./target/release/server_capacity plan \
-    --workload testdata/workloads/mixed.deck --rps 20 > target/capacity_plan.b
-diff target/capacity_plan.a target/capacity_plan.b
-./target/release/qwm capacity-report BENCH_capacity_server.json \
-    --out target/capacity_report.html --title "capacity smoke"
-test -s target/capacity_report.html
 
 # Benchmark gate: benchmark/ is a workspace of its own, so nothing above
 # compiles it. The smoke run builds it against this tree's public API

@@ -77,45 +77,7 @@ fn usage() -> &'static str {
      \u{20}          [--session-ttl <secs>] [--engine-threads <n>] [--obs [summary|json]]\n\
      \u{20}          [--store <dir>] [--snapshot-every <n>]\n\
      \u{20}      qwm obs-report <dump.jsonl> [--out <report.html>] [--title <text>]\n\
-     \u{20}          [--check-only]\n\
-     \u{20}      qwm capacity-report <BENCH_capacity_server.json> [--out <report.html>]\n\
-     \u{20}          [--title <text>]"
-}
-
-/// `qwm capacity-report ...`: turn a `BENCH_capacity_server.json`
-/// capacity-discovery artifact (written by the `server_capacity` bench
-/// driver) into a self-contained HTML report.
-fn capacity_report(args: &[String]) -> Result<(), String> {
-    let mut input: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut title = "qwm server capacity".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a path")?.clone()),
-            "--title" => title = it.next().ok_or("--title needs text")?.clone(),
-            "--help" | "-h" => return Err(usage().to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!(
-                    "unexpected capacity-report argument {other:?}\n{}",
-                    usage()
-                ));
-            }
-            path => {
-                if input.replace(path.to_string()).is_some() {
-                    return Err("capacity-report takes exactly one input file".to_string());
-                }
-            }
-        }
-    }
-    let input = input.ok_or_else(|| format!("capacity-report needs an input file\n{}", usage()))?;
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?;
-    let html =
-        qwm::obs::report::capacity_html(&title, &text).map_err(|e| format!("{input}: {e}"))?;
-    let out = out.unwrap_or_else(|| format!("{input}.html"));
-    std::fs::write(&out, html).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+     \u{20}          [--check-only]"
 }
 
 /// `qwm obs-report ...`: turn a line-oriented JSON telemetry dump
@@ -622,15 +584,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("obs-report") {
         return match obs_report(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("capacity-report") {
-        return match capacity_report(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
